@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"flag"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -44,6 +46,63 @@ func TestRunGoldenE12(t *testing.T) {
 	if out.String() != string(golden) {
 		t.Fatalf("E12 output diverged from golden:\n%s\nwant:\n%s", out.String(), golden)
 	}
+}
+
+var update = flag.Bool("update", false, "rewrite the golden table fixtures")
+
+// goldenAllRuns are the renders pinned by testdata/all.golden: every
+// table at the default seed on the legacy serial path, plus one fleet
+// ensemble run across workers.
+var goldenAllRuns = [][]string{
+	{"-exp", "all", "-seed", "1"},
+	{"-exp", "F1", "-cells", "16", "-seed", "7", "-workers", "2"},
+}
+
+// TestRunGoldenAll byte-compares all 14 tables against the fixture, so a
+// change meant to leave the simulation's results alone is proven to. Run
+// with -update only for an intended change of results.
+func TestRunGoldenAll(t *testing.T) {
+	var got bytes.Buffer
+	for _, args := range goldenAllRuns {
+		var out, errOut bytes.Buffer
+		if code := run(args, &out, &errOut); code != 0 {
+			t.Fatalf("icerun %s: exit %d: %s", strings.Join(args, " "), code, errOut.String())
+		}
+		got.WriteString("# icerun " + strings.Join(args, " ") + "\n")
+		got.Write(out.Bytes())
+	}
+	const path = "testdata/all.golden"
+	if *update {
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create)", err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("tables diverged from %s:\n%s", path, firstDiff(got.String(), string(want)))
+	}
+}
+
+// firstDiff reports the first line where got and want part.
+func firstDiff(got, want string) string {
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; i < len(g) || i < len(w); i++ {
+		var gl, wl string
+		if i < len(g) {
+			gl = g[i]
+		}
+		if i < len(w) {
+			wl = w[i]
+		}
+		if gl != wl {
+			return fmt.Sprintf("line %d:\n got: %q\nwant: %q", i+1, gl, wl)
+		}
+	}
+	return "outputs differ"
 }
 
 func TestRunRejectsUnknownExperiment(t *testing.T) {

@@ -45,6 +45,7 @@ type Estimator struct {
 	samples []PlethSample
 	perWin  int
 	ac      []float64 // zero-mean IR scratch, reused across windows
+	r       []float64 // autocorrelation by lag, reused across windows
 }
 
 // NewEstimator returns an estimator sized for the given parameters.
@@ -56,7 +57,13 @@ func NewEstimator(p EstimatorParams) *Estimator {
 	if perWin < 8 {
 		panic("sigproc: window too short for analysis")
 	}
-	return &Estimator{p: p, samples: make([]PlethSample, 0, perWin), perWin: perWin, ac: make([]float64, perWin)}
+	return &Estimator{
+		p:       p,
+		samples: make([]PlethSample, 0, perWin),
+		perWin:  perWin,
+		ac:      make([]float64, perWin),
+		r:       make([]float64, perWin), // lags run at most to perWin-1
+	}
 }
 
 // Reset drops any partially accumulated window so a prototype clone
@@ -105,16 +112,16 @@ func (e *Estimator) analyze() Estimate {
 	// and lands in a reused scratch slice. Both changes preserve the
 	// original floating-point operation order bit for bit.
 	acI := e.ac[:n]
-	var rmsR, rmsI float64
+	var rmsR, energyI float64
 	for i, s := range e.samples {
 		ar := s.Red - dcR
 		ai := s.IR - dcI
 		acI[i] = ai
 		rmsR += ar * ar
-		rmsI += ai * ai
+		energyI += ai * ai
 	}
 	rmsR = math.Sqrt(rmsR / float64(n))
-	rmsI = math.Sqrt(rmsI / float64(n))
+	rmsI := math.Sqrt(energyI / float64(n))
 	if rmsI == 0 {
 		return Estimate{T: endT, Valid: false, Quality: 0}
 	}
@@ -122,8 +129,10 @@ func (e *Estimator) analyze() Estimate {
 	ratio := (rmsR / dcR) / (rmsI / dcI)
 	spo2 := SpO2ForRatio(ratio)
 
-	// Heart rate by autocorrelation peak of the IR AC component.
-	hr, periodicity := autocorrHR(acI, e.p.SampleRate, e.p.MinHeartRate, e.p.MaxHeartRate)
+	// Heart rate by autocorrelation peak of the IR AC component. The IR
+	// energy is the zero-lag autocorrelation: the same terms, summed in
+	// the same order.
+	hr, periodicity := autocorrHR(acI, e.r, energyI, e.p.SampleRate, e.p.MinHeartRate, e.p.MaxHeartRate)
 
 	quality := periodicity
 	valid := quality >= e.p.MinQuality && hr >= e.p.MinHeartRate && hr <= e.p.MaxHeartRate &&
@@ -132,18 +141,15 @@ func (e *Estimator) analyze() Estimate {
 }
 
 // autocorrHR finds the dominant periodicity in x and converts it to
-// beats/min. The returned periodicity in [0,1] is the normalized
-// autocorrelation at the detected lag — a natural signal-quality index
-// that collapses under uncorrelated artifact noise.
-func autocorrHR(x []float64, fs, minHR, maxHR float64) (hr, periodicity float64) {
-	n := len(x)
-	var r0 float64
-	for _, v := range x {
-		r0 += v * v
-	}
+// beats/min. r0 is x's zero-lag autocorrelation (its energy) and r is
+// scratch of at least len(x) entries. The returned periodicity in [0,1]
+// is the normalized autocorrelation at the detected lag — a natural
+// signal-quality index that collapses under uncorrelated artifact noise.
+func autocorrHR(x, r []float64, r0, fs, minHR, maxHR float64) (hr, periodicity float64) {
 	if r0 == 0 {
 		return 0, 0
 	}
+	n := len(x)
 	minLag := int(fs * 60 / maxHR)
 	maxLag := int(fs * 60 / minHR)
 	if maxLag >= n {
@@ -152,11 +158,11 @@ func autocorrHR(x []float64, fs, minHR, maxHR float64) (hr, periodicity float64)
 	if minLag < 1 {
 		minLag = 1
 	}
+	lagSweep(r, x, minLag, maxLag)
 	bestLag, bestR := 0, 0.0
 	for lag := minLag; lag <= maxLag; lag++ {
-		r := lagCorr(x, lag) / r0
-		if r > bestR {
-			bestR = r
+		if v := r[lag] / r0; v > bestR {
+			bestR = v
 			bestLag = lag
 		}
 	}
@@ -164,26 +170,77 @@ func autocorrHR(x []float64, fs, minHR, maxHR float64) (hr, periodicity float64)
 		return 0, 0
 	}
 	// Refine: if lag/2 also scores nearly as high, the true period is the
-	// half (we latched onto a subharmonic).
+	// half (we latched onto a subharmonic). The sweep already holds it.
 	if half := bestLag / 2; half >= minLag {
-		if r := lagCorr(x, half) / r0; r > 0.85*bestR {
+		if v := r[half] / r0; v > 0.85*bestR {
 			bestLag = half
-			bestR = r
+			bestR = v
 		}
 	}
 	return 60 * fs / float64(bestLag), clamp01(bestR)
 }
 
-// lagCorr is the raw autocorrelation sum at one lag. Slicing the tail
-// lets the compiler drop both bounds checks from the inner loop — this
-// is the hottest loop in the whole engine (42% of cell CPU) — while the
-// products and their accumulation order stay exactly those of the
-// textbook x[i]*x[i-lag] formulation.
+// lagBlock is how many adjacent lags lagSweep computes per pass over x.
+// Four independent accumulators hide the add latency of lagCorr's one
+// serial chain and leave the loop bound by multiply/add throughput;
+// eight spill registers on amd64 and measure no faster. The loop body
+// below is unrolled for exactly four.
+const lagBlock = 4
+
+// lagSweep sets r[lag] = lagCorr(x, lag) for every lag in [lo, hi],
+// bit for bit, computing lagBlock adjacent lags per pass over x. Each lag
+// keeps its own accumulator, adds its products in lagCorr's ascending
+// order and in the same r += y*v form (so fused and unfused codegen both
+// agree with lagCorr), then finishes its own tail terms in order. lagCorr
+// handles the lags left over after the last full block. hi must be below
+// len(x) and len(r).
+func lagSweep(r, x []float64, lo, hi int) {
+	n := len(x)
+	lag := lo
+	for ; lag+lagBlock-1 <= hi; lag += lagBlock {
+		// m terms are common to all four lags; lag+k has 3-k more.
+		m := n - lag - (lagBlock - 1)
+		v0 := x[:m]
+		y0 := x[lag:][:len(v0)]
+		y1 := x[lag+1:][:len(v0)]
+		y2 := x[lag+2:][:len(v0)]
+		y3 := x[lag+3:][:len(v0)]
+		var r0, r1, r2, r3 float64
+		for i, v := range v0 {
+			r0 += y0[i] * v
+			r1 += y1[i] * v
+			r2 += y2[i] * v
+			r3 += y3[i] * v
+		}
+		r[lag] = lagCorrFrom(r0, x, lag, m)
+		r[lag+1] = lagCorrFrom(r1, x, lag+1, m)
+		r[lag+2] = lagCorrFrom(r2, x, lag+2, m)
+		r[lag+3] = r3
+	}
+	for ; lag <= hi; lag++ {
+		r[lag] = lagCorr(x, lag)
+	}
+}
+
+// lagCorr is the raw autocorrelation sum at one lag: the reference that
+// lagSweep reproduces bit for bit, and its path for the lags left over
+// after the last full block. Ranging over the tail drops its bounds
+// check, while the products and their accumulation order stay exactly
+// those of the textbook x[i]*x[i-lag] formulation.
 func lagCorr(x []float64, lag int) float64 {
 	var r float64
 	tail := x[lag:]
 	for i, v := range tail {
 		r += v * x[i]
+	}
+	return r
+}
+
+// lagCorrFrom continues lagCorr's sum r from term i0 on, in its order.
+func lagCorrFrom(r float64, x []float64, lag, i0 int) float64 {
+	tail := x[lag:]
+	for i := i0; i < len(tail); i++ {
+		r += tail[i] * x[i]
 	}
 	return r
 }
