@@ -319,6 +319,8 @@ func TestListValidationAndMetricsEndpoints(t *testing.T) {
 		{Exp: "E99"},
 		{Scenario: "pca-supervised", Cells: -1},
 		{Exp: "F1", DurationS: 60}, // duration on a table job
+		// Overflows sim.Time: would run the default horizon under this key.
+		{Scenario: "pca-supervised", DurationS: 1e12},
 		// A knob the scenario never reads would cache a nominal run under
 		// the mistyped key; the declaration check rejects it instead.
 		{Scenario: "pca-commfault", Knobs: map[string]float64{"losss": 0.1}},

@@ -61,6 +61,14 @@ func (r Request) Validate() error {
 	if r.DurationS < 0 || math.IsNaN(r.DurationS) || math.IsInf(r.DurationS, 0) {
 		return fmt.Errorf("icegate: bad duration_s %v", r.DurationS)
 	}
+	// duration() truncates to whole nanoseconds and wraps negative past
+	// 2^63 ns. Either way a nonzero duration_s would reach the factories
+	// as "unset", and the scenario's default horizon would run and be
+	// cached under this duration's key.
+	if ns := r.DurationS * float64(sim.Second); r.DurationS != 0 && (ns < 1 || ns >= math.MaxInt64) {
+		return fmt.Errorf("icegate: duration_s %g is outside the sim clock's range (want 1e-09 <= duration_s < %g)",
+			r.DurationS, sim.Time(math.MaxInt64).Seconds())
+	}
 	for k, v := range r.Knobs {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return fmt.Errorf("icegate: knob %q is not finite", k)

@@ -388,8 +388,6 @@ func (c *Coordinator) serveConn(conn net.Conn) {
 			c.mu.Unlock()
 			c.flush(sends)
 			c.met.heartbeatJitter.Observe(math.Abs((interval - c.cfg.Heartbeat).Seconds()))
-		case *CellDone:
-			c.onCellDone(node, v)
 		case *CellBatch:
 			c.onCellBatch(node, v)
 		case *ShardDone:
@@ -607,15 +605,9 @@ func (c *Coordinator) liveNodesLocked() []*meshNode {
 	return out
 }
 
-// onCellDone merges one delivered cell; onCellBatch merges a node-side
-// flush of many under a single lock acquisition — the amortization that
-// keeps shard size 1 from turning every cell into a contended merge.
-func (c *Coordinator) onCellDone(node *meshNode, m *CellDone) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.mergeCellLocked(node, m)
-}
-
+// onCellBatch merges a node-side flush of many cells under a single
+// lock acquisition — the amortization that keeps shard size 1 from
+// turning every cell into a contended merge.
 func (c *Coordinator) onCellBatch(node *meshNode, m *CellBatch) {
 	c.met.cellBatches.Inc()
 	c.mu.Lock()

@@ -88,8 +88,8 @@ func (c NodeConfig) withDefaults() NodeConfig {
 }
 
 // Node is one worker: it registers with the coordinator, heartbeats,
-// executes assigned cell ranges, and streams results back in batched
-// CellDone frames. Assignments within the coordinator-granted credit
+// executes assigned cell ranges, and streams results back in CellBatch
+// frames. Assignments within the coordinator-granted credit
 // window execute concurrently, all sharing one persistent fleet session
 // per job — the pool bounds actual parallelism at Workers, and the
 // session keeps the spec built once, so shard size 1 costs a function

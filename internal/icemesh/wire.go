@@ -42,7 +42,8 @@ const (
 	codeWelcome   = 2 // coordinator -> node: registration accepted
 	codeHeartbeat = 3 // node -> coordinator: liveness + load
 	codeAssign    = 4 // coordinator -> node: execute one cell range
-	codeCellDone  = 5 // node -> coordinator: one cell's result
+	// 5 is retired (a one-cell frame, superseded by CellBatch): the
+	// decoder rejects it, and it must not be reused.
 	codeShardDone = 6 // node -> coordinator: range finished
 	codeDrain     = 7 // either direction: stop assigning, finish in-flight
 	codeCellBatch = 8 // node -> coordinator: several cells' results in one frame
@@ -94,6 +95,7 @@ type Assign struct {
 
 // CellDone reports one executed cell: its global index, the lifted
 // engine counters, and the clinical metric map (canonical sorted keys).
+// It rides the wire only as a CellBatch entry.
 type CellDone struct {
 	Shard        uint64
 	Index        int
@@ -106,9 +108,9 @@ type CellDone struct {
 }
 
 // CellBatch carries several cell results in one frame. With streaming
-// fine-grained shards the per-cell CellDone frame (header + syscall per
-// cell) would dominate the wire, so nodes coalesce deliveries — size-
-// and time-bounded — into one batch per flush. Entries may mix shards;
+// fine-grained shards a frame per cell (header + syscall per cell)
+// would dominate the wire, so nodes coalesce deliveries — size- and
+// time-bounded — into one batch per flush. Entries may mix shards;
 // order within a batch is completion order, and every entry is decoded
 // with exactly the CellDone field rules. An empty batch carries no
 // information and is rejected on both ends, so every accepted frame has
@@ -152,7 +154,7 @@ type SpanBatch struct {
 }
 
 // ShardDone closes one assignment; Err is the range-level failure (every
-// cell-level error already rode its CellDone).
+// cell-level error already rode its CellBatch entry).
 type ShardDone struct {
 	Shard uint64
 	Err   string
@@ -275,12 +277,6 @@ func AppendMessage(dst []byte, m any) ([]byte, error) {
 		dst = icewire.AppendString(dst, v.Codec)
 		dst = appendMap(dst, v.Knobs)
 		return icewire.AppendBool(dst, v.Trace), nil
-	case *CellDone:
-		if v.Index < 0 {
-			return dst, fmt.Errorf("icemesh: negative cell index %d", v.Index)
-		}
-		dst = append(dst, MeshV1, codeCellDone)
-		return appendCellDone(dst, v), nil
 	case *CellBatch:
 		if len(v.Cells) == 0 {
 			return dst, errors.New("icemesh: empty cell batch")
@@ -334,8 +330,8 @@ func AppendMessage(dst []byte, m any) ([]byte, error) {
 	}
 }
 
-// appendCellDone encodes one cell result's fields — the shared body of
-// CellDone frames and CellBatch entries, so the two can never drift.
+// appendCellDone encodes one cell result's fields: the body of one
+// CellBatch entry.
 func appendCellDone(dst []byte, v *CellDone) []byte {
 	dst = binary.AppendUvarint(dst, v.Shard)
 	dst = binary.AppendUvarint(dst, uint64(v.Index))
@@ -386,10 +382,6 @@ func DecodeMessage(data []byte) (any, error) {
 	case codeAssign:
 		v := &Assign{}
 		err = decodeAssign(r, v)
-		m = v
-	case codeCellDone:
-		v := &CellDone{}
-		err = decodeCellDone(r, v)
 		m = v
 	case codeCellBatch:
 		v := &CellBatch{}

@@ -35,9 +35,6 @@ func goldenMessages() []struct {
 			Duration: 2 * sim.Hour, Codec: "binary", Knobs: map[string]float64{"failsafe": 1, "loss": 0.15}}},
 		{"assign-traced", &Assign{Shard: 10, Scenario: "tele-icu-probe", Seed: 7, Cells: 8, Start: 0, End: 4,
 			Duration: sim.Hour, Trace: true}},
-		{"celldone", &CellDone{Shard: 9, Index: 17, Seed: 1234567, Events: 250000, WireBytes: 65536,
-			WireEncodeNS: 777, Metrics: map[string]float64{"alarms": 3, "min_spo2": 88.5}}},
-		{"celldone-err", &CellDone{Shard: 9, Index: 18, Seed: -7, Err: "cell panicked: causality"}},
 		{"cellbatch", &CellBatch{Cells: []CellDone{
 			{Shard: 9, Index: 17, Seed: 1234567, Events: 250000, WireBytes: 65536,
 				WireEncodeNS: 777, Metrics: map[string]float64{"alarms": 3, "min_spo2": 88.5}},
@@ -92,7 +89,8 @@ func TestGoldenMeshVectors(t *testing.T) {
 	}
 }
 
-// Unknown versions and type codes are rejected outright.
+// Unknown versions and type codes are rejected outright, including the
+// retired standalone CellDone code 5.
 func TestMeshVersionAndTypeRejection(t *testing.T) {
 	payload, err := AppendMessage(nil, &Drain{Reason: "x"})
 	if err != nil {
@@ -105,11 +103,19 @@ func TestMeshVersionAndTypeRejection(t *testing.T) {
 			t.Errorf("version 0x%02x: err = %v, want version rejection", v, err)
 		}
 	}
-	for _, c := range []byte{0, 10, 0xFF} {
-		bad := append([]byte(nil), payload...)
-		bad[1] = c
-		if _, err := DecodeMessage(bad); err == nil {
-			t.Errorf("type code 0x%02x accepted", c)
+	// Each unknown code is tried with a Drain body and with a well-formed
+	// cell body (a one-entry CellBatch minus version, code and count), so
+	// code 5 cannot slip through as the old one-cell frame.
+	batch, err := AppendMessage(nil, &CellBatch{Cells: []CellDone{{Shard: 9, Index: 17, Seed: -7}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []byte{0, 5, 10, 0xFF} {
+		for _, body := range [][]byte{payload[2:], batch[3:]} {
+			bad := append([]byte{MeshV1, c}, body...)
+			if _, err := DecodeMessage(bad); err == nil {
+				t.Errorf("type code 0x%02x accepted with body %x", c, body)
+			}
 		}
 	}
 }
@@ -206,12 +212,16 @@ func FuzzDecodeMeshMessage(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{MeshV1})
 	f.Add([]byte{MeshV1, codeAssign, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F})
-	f.Add(append([]byte{MeshV1, codeCellDone}, bytes.Repeat([]byte{0x80}, 11)...))
+	f.Add(append([]byte{MeshV1, codeCellBatch}, bytes.Repeat([]byte{0x80}, 11)...))
 	f.Add([]byte{MeshV1, codeCellBatch, 0})                            // empty batch: rejected
 	f.Add([]byte{MeshV1, codeCellBatch, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}) // hostile count
 	f.Add([]byte{MeshV1, codeSpanBatch, 0, 0, 0})                      // empty span batch: rejected
 	f.Add([]byte{MeshV1, codeSpanBatch, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F})
 	f.Add([]byte{MeshV1, codeSpanBatch, 0, 0, 1, 1, 'x', 5, 2, 0}) // span ends before it starts
+	// The retired standalone CellDone frame (code 5): a well-formed cell
+	// body, rejected by type code alone.
+	f.Add([]byte{MeshV1, 5, 9, 17, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{MeshV1, 5, 9, 18, 13, 0, 0, 0, 1, 'x', 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := DecodeMessage(data)
@@ -255,8 +265,8 @@ func FuzzMeshRoundTrip(f *testing.F) {
 			msg = &Assign{Shard: u1, Scenario: s1, Seed: i1, Cells: n, Start: n / 4, End: n / 2,
 				Duration: sim.Time(i1), Codec: s2, Knobs: kv}
 		case 4:
-			msg = &CellDone{Shard: u1, Index: n, Seed: i1, Events: u1, WireBytes: u1 / 2,
-				WireEncodeNS: u1 / 3, Err: s2, Metrics: kv}
+			msg = &CellBatch{Cells: []CellDone{{Shard: u1, Index: n, Seed: i1, Events: u1, WireBytes: u1 / 2,
+				WireEncodeNS: u1 / 3, Err: s2, Metrics: kv}}}
 		case 5:
 			msg = &ShardDone{Shard: u1, Err: s2}
 		case 6:
@@ -317,7 +327,7 @@ func TestMeshFuzzSeedCorpus(t *testing.T) {
 	seeds["version-only"] = []byte{MeshV1}
 	seeds["bad-version"] = []byte{0x02, codeHello, 0}
 	seeds["huge-count"] = []byte{MeshV1, codeAssign, 1, 1, 'x', 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}
-	seeds["overlong-varint"] = append([]byte{MeshV1, codeCellDone}, bytes.Repeat([]byte{0x80}, 11)...)
+	seeds["overlong-varint"] = append([]byte{MeshV1, codeCellBatch}, bytes.Repeat([]byte{0x80}, 11)...)
 	seeds["empty-batch"] = []byte{MeshV1, codeCellBatch, 0}
 	seeds["huge-batch-count"] = []byte{MeshV1, codeCellBatch, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}
 	seeds["empty-span-batch"] = []byte{MeshV1, codeSpanBatch, 0, 0, 0}
