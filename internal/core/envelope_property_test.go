@@ -12,18 +12,19 @@ import (
 func TestDatumWireRoundTripProperty(t *testing.T) {
 	f := func(seq uint64, atRaw int64, value float64, valid bool, quality float64) bool {
 		if math.IsNaN(value) || math.IsInf(value, 0) || math.IsNaN(quality) || math.IsInf(quality, 0) {
-			return true // JSON cannot carry non-finite floats; senders never produce them
+			return true // NaN never compares equal; senders never produce non-finite values
 		}
 		at := sim.Time(atRaw % (1 << 40))
 		if at < 0 {
 			at = -at
 		}
 		in := Datum{Topic: "dev/cap", Value: value, Valid: valid, Quality: quality, Sampled: at}
-		data, err := Encode(MsgPublish, "dev", "mgr", seq, at, in)
+		codec := NewBinaryCodec()
+		data, err := codec.AppendEnvelope(nil, MsgPublish, "dev", "mgr", seq, at, in)
 		if err != nil {
 			return false
 		}
-		env, err := Decode(data)
+		env, err := codec.Decode(data)
 		if err != nil || env.Seq != seq || env.From != "dev" || env.Type != MsgPublish {
 			return false
 		}
@@ -48,11 +49,12 @@ func TestCommandWireRoundTripProperty(t *testing.T) {
 		if hasArgs {
 			in.Args = map[string]float64{"rate": rate}
 		}
-		data, err := Encode(MsgCommand, "mgr", "pump", 1, 0, in)
+		codec := NewBinaryCodec()
+		data, err := codec.AppendEnvelope(nil, MsgCommand, "mgr", "pump", 1, 0, in)
 		if err != nil {
 			return false
 		}
-		env, err := Decode(data)
+		env, err := codec.Decode(data)
 		if err != nil {
 			return false
 		}

@@ -74,7 +74,7 @@ type Heartbeat struct {
 // Assign ships one contiguous cell range [Start, End) of a registry
 // scenario to a node. Cells is the full ensemble size — the node
 // rebuilds the identical spec via fleet.Build{Seed, Cells, Duration,
-// WireCodec, Knobs} and runs only its range.
+// Knobs} and runs only its range.
 type Assign struct {
 	Shard    uint64 // coordinator-global shard ID, echoed in results
 	Scenario string
@@ -83,7 +83,6 @@ type Assign struct {
 	Start    int
 	End      int
 	Duration sim.Time
-	Codec    string // fleet.Params.WireCodec: "" = binary
 	Knobs    map[string]float64
 
 	// Trace asks the node to forward its spans for this job's work back
@@ -274,7 +273,6 @@ func AppendMessage(dst []byte, m any) ([]byte, error) {
 		dst = binary.AppendUvarint(dst, uint64(v.Start))
 		dst = binary.AppendUvarint(dst, uint64(v.End))
 		dst = appendZigzag(dst, int64(v.Duration))
-		dst = icewire.AppendString(dst, v.Codec)
 		dst = appendMap(dst, v.Knobs)
 		return icewire.AppendBool(dst, v.Trace), nil
 	case *CellBatch:
@@ -453,9 +451,6 @@ func decodeAssign(r *icewire.Reader, v *Assign) error {
 		return err
 	}
 	v.Duration = sim.Time(d)
-	if v.Codec, err = r.String(); err != nil {
-		return err
-	}
 	if v.Knobs, err = readMap(r); err != nil {
 		return err
 	}

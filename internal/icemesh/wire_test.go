@@ -32,7 +32,7 @@ func goldenMessages() []struct {
 		{"welcome", &Welcome{Node: "node-a", HeartbeatMS: 1000}},
 		{"heartbeat", &Heartbeat{Inflight: 2, CellsDone: 300}},
 		{"assign", &Assign{Shard: 9, Scenario: "pca-supervised", Seed: -42, Cells: 64, Start: 16, End: 32,
-			Duration: 2 * sim.Hour, Codec: "binary", Knobs: map[string]float64{"failsafe": 1, "loss": 0.15}}},
+			Duration: 2 * sim.Hour, Knobs: map[string]float64{"failsafe": 1, "loss": 0.15}}},
 		{"assign-traced", &Assign{Shard: 10, Scenario: "tele-icu-probe", Seed: 7, Cells: 8, Start: 0, End: 4,
 			Duration: sim.Hour, Trace: true}},
 		{"cellbatch", &CellBatch{Cells: []CellDone{
@@ -263,7 +263,7 @@ func FuzzMeshRoundTrip(f *testing.F) {
 			msg = &Heartbeat{Inflight: n, CellsDone: u1}
 		case 3:
 			msg = &Assign{Shard: u1, Scenario: s1, Seed: i1, Cells: n, Start: n / 4, End: n / 2,
-				Duration: sim.Time(i1), Codec: s2, Knobs: kv}
+				Duration: sim.Time(i1), Knobs: kv}
 		case 4:
 			msg = &CellBatch{Cells: []CellDone{{Shard: u1, Index: n, Seed: i1, Events: u1, WireBytes: u1 / 2,
 				WireEncodeNS: u1 / 3, Err: s2, Metrics: kv}}}

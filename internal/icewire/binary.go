@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"time"
 
 	"repro/internal/sim"
 )
@@ -73,14 +74,24 @@ var classNames = [5]CapabilityClass{
 	1: ClassSensor, 2: ClassActuator, 3: ClassSetting, 4: ClassEvent,
 }
 
-// Binary is the default ICE wire codec. One instance serves one
+// Binary is the ICE wire codec. One instance serves one
 // simulation cell: the string intern table keeps steady-state decode
 // allocation-free, and the scratch buffers keep encode appends in place.
 type Binary struct {
-	st     codecStats
+	stats  CodecStats
 	intern map[string]string
 	body   []byte   // scratch: body encoded before its length prefix is known
 	keys   []string // scratch: canonical ordering of command args
+}
+
+// CodecStats is the encode-side accounting a codec accumulates: frames
+// and bytes are exact; EncodeNS is estimated by timing one encode in
+// every 64 and scaling, so the hot path stays free of per-frame clock
+// reads.
+type CodecStats struct {
+	Frames   uint64 // envelopes encoded
+	Bytes    uint64 // encoded frame bytes (pre-auth)
+	EncodeNS uint64 // estimated wall time spent encoding, in ns
 }
 
 // NewBinary returns a fresh binary codec instance.
@@ -88,15 +99,20 @@ func NewBinary() *Binary {
 	return &Binary{intern: make(map[string]string)}
 }
 
-// Name implements Codec.
-func (c *Binary) Name() string { return "binary" }
+// Stats reports cumulative encode-side accounting.
+func (c *Binary) Stats() CodecStats { return c.stats }
 
-// Stats implements Codec.
-func (c *Binary) Stats() CodecStats { return c.st.stats() }
-
-// AppendEnvelope implements Codec.
+// AppendEnvelope encodes one complete envelope — framing plus typed
+// body — directly into dst and returns the extended slice. body is nil
+// or one of *Datum, *Command, *CommandAck, *AdmitResult, *Descriptor
+// (value forms also accepted). The frame is unsigned; use Signing +
+// PatchAuth to authenticate it.
 func (c *Binary) AppendEnvelope(dst []byte, t MsgType, from, to string, seq uint64, at sim.Time, body any) ([]byte, error) {
-	sampled := c.st.beginSample()
+	var t0 time.Time
+	sampled := c.stats.Frames&63 == 0
+	if sampled {
+		t0 = time.Now()
+	}
 	start := len(dst)
 	code, ok := typeCodes[t]
 	if !ok {
@@ -115,7 +131,11 @@ func (c *Binary) AppendEnvelope(dst []byte, t MsgType, from, to string, seq uint
 	dst = binary.AppendUvarint(dst, uint64(len(bodyBytes)))
 	dst = append(dst, bodyBytes...)
 	dst = append(dst, 0) // auth: empty on unsigned frames
-	c.st.endSample(sampled, len(dst)-start)
+	if sampled {
+		c.stats.EncodeNS += uint64(time.Since(t0)) * 64
+	}
+	c.stats.Frames++
+	c.stats.Bytes += uint64(len(dst) - start)
 	return dst, nil
 }
 
@@ -234,9 +254,9 @@ func appendDescriptor(dst []byte, d *Descriptor) ([]byte, error) {
 	return dst, nil
 }
 
-// appendSigningFrame is the canonical signing form shared by every
-// codec: the binary framing of all fields except Auth. Message types
-// outside the wire protocol (possible on hand-built JSON envelopes)
+// appendSigningFrame is the canonical signing form of a hand-built
+// envelope: the binary framing of all fields except Auth. Message types
+// outside the wire protocol (possible only on hand-built envelopes)
 // encode as 0xFF + the type string — a code no real binary frame can
 // start its signing window with, so exotic envelopes stay signable
 // without colliding with protocol frames.
@@ -349,8 +369,9 @@ func (c *Binary) internString(b []byte) string {
 	return s
 }
 
-// Decode implements Codec. The returned envelope's From/To are interned,
-// and Body, Auth and the signing window alias the input buffer.
+// Decode parses one frame. The returned envelope's From/To are interned,
+// and Body, Auth and the signing window alias the input buffer, so the
+// envelope is only valid as long as data is.
 func (c *Binary) Decode(data []byte) (Envelope, error) {
 	var env Envelope
 	if len(data) < 2 {
@@ -410,7 +431,8 @@ func (c *Binary) Decode(data []byte) (Envelope, error) {
 	return env, nil
 }
 
-// DecodeBody implements Codec.
+// DecodeBody decodes e's body into out, which must be a pointer to one
+// of the body types AppendEnvelope accepts.
 func (c *Binary) DecodeBody(e *Envelope, out any) error {
 	if len(e.Body) == 0 {
 		return fmt.Errorf("core: %s envelope has empty body", e.Type)
@@ -642,15 +664,17 @@ func splitAuth(frame []byte) (signing, auth []byte, err error) {
 	return frame[:signingEnd], auth, nil
 }
 
-// Signing implements Codec: for binary frames the canonical signing
-// bytes are a subslice of the frame itself, so dst is unused.
-func (c *Binary) Signing(dst, frame []byte) ([]byte, error) {
+// Signing returns the canonical signing bytes of an encoded frame: a
+// subslice of the frame itself, valid only until the frame is reused.
+func (c *Binary) Signing(frame []byte) ([]byte, error) {
 	signing, _, err := splitAuth(frame)
 	return signing, err
 }
 
-// PatchAuth implements Codec: the auth field is the frame's final field,
-// so attaching a tag replaces the empty auth suffix in place.
+// PatchAuth attaches an authentication tag to an unsigned encoded frame
+// without re-encoding the envelope, returning the (possibly reallocated)
+// frame: the auth field is the frame's final field, so attaching a tag
+// replaces the empty auth suffix in place.
 func (c *Binary) PatchAuth(frame, tag []byte) ([]byte, error) {
 	signing, auth, err := splitAuth(frame)
 	if err != nil {
