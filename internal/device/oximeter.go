@@ -25,6 +25,7 @@ type Oximeter struct {
 	patient *physio.Patient
 	synth   *sigproc.Synth
 	est     *sigproc.Estimator
+	win     []sigproc.PlethSample // one analysis window, synthesized in place
 	tick    *sim.Ticker
 
 	// Counters for experiments.
@@ -46,20 +47,23 @@ func OximeterDescriptor(id string) core.Descriptor {
 
 // NewOximeter connects an oximeter observing the given patient. For event-
 // queue economy the waveform is synthesized in one batch per analysis
-// window: the estimator sees the same samples it would have accumulated
-// at the device's sampling rate, and the estimate is published at the
-// window's end — the same observable timing at a fraction of the events.
+// window, straight into a window buffer the estimator then analyzes: the
+// estimator sees the same samples it would have accumulated at the
+// device's sampling rate, and the estimate is published at the window's
+// end — the same observable timing at a fraction of the events.
 func NewOximeter(k *sim.Kernel, net *mednet.Network, id string, patient *physio.Patient, rng *sim.RNG, cfg core.ConnectConfig) (*Oximeter, error) {
 	conn, err := core.Connect(k, net, OximeterDescriptor(id), cfg)
 	if err != nil {
 		return nil, err
 	}
+	est := sigproc.NewEstimator(sigproc.DefaultEstimator())
 	o := &Oximeter{
 		conn:    conn,
 		k:       k,
 		patient: patient,
 		synth:   sigproc.NewSynth(sigproc.DefaultSynth(), rng),
-		est:     sigproc.NewEstimator(sigproc.DefaultEstimator()),
+		est:     est,
+		win:     make([]sigproc.PlethSample, est.WindowSamples()),
 	}
 	window := o.est.ProcessingDelay()
 	o.tick = k.Every(window.Duration(), func(now sim.Time) { o.processWindow(now, window) })
@@ -79,14 +83,14 @@ func MustNewOximeter(k *sim.Kernel, net *mednet.Network, id string, patient *phy
 func (o *Oximeter) Conn() *core.DeviceConn { return o.conn }
 
 // Reset returns the oximeter to its just-connected state for a
-// prototype clone: the ICE connection re-announces, the synthesizer and
-// estimator clear, counters zero, and the window ticker re-arms —
-// NewOximeter's scheduling order, replayed. The probe RNG is owned and
-// reseeded by the rig.
+// prototype clone: the ICE connection re-announces, the synthesizer
+// clears, counters zero, and the window ticker re-arms — NewOximeter's
+// scheduling order, replayed. The estimator keeps no state between
+// windows, and the window buffer is rewritten whole each window. The
+// probe RNG is owned and reseeded by the rig.
 func (o *Oximeter) Reset() {
 	o.conn.Reset()
 	o.synth.Reset()
-	o.est.Reset()
 	o.Estimates = 0
 	o.InvalidEstimates = 0
 	o.tick.Reset()
@@ -116,18 +120,13 @@ func (o *Oximeter) processWindow(now sim.Time, window sim.Time) {
 		return
 	}
 	v := o.patient.Vitals()
-	dt := o.synth.SampleInterval()
 	start := now - window
-	for i := 0; i < o.est.WindowSamples(); i++ {
-		ts := start + sim.Time(i)*dt
-		s := o.synth.Next(ts, dt, v.HeartRate, v.SpO2)
-		if e, ok := o.est.Push(s); ok {
-			o.Estimates++
-			if !e.Valid {
-				o.InvalidEstimates++
-			}
-			o.conn.Publish("spo2", e.SpO2, e.Valid, e.Quality, start)
-			o.conn.Publish("heart-rate", e.HeartRate, e.Valid, e.Quality, start)
-		}
+	o.synth.Fill(o.win, start, o.synth.SampleInterval(), v.HeartRate, v.SpO2)
+	e := o.est.Analyze(o.win)
+	o.Estimates++
+	if !e.Valid {
+		o.InvalidEstimates++
 	}
+	o.conn.Publish("spo2", e.SpO2, e.Valid, e.Quality, start)
+	o.conn.Publish("heart-rate", e.HeartRate, e.Valid, e.Quality, start)
 }

@@ -42,10 +42,10 @@ func DefaultEstimator() EstimatorParams {
 // Estimator consumes pleth samples and emits one Estimate per window.
 type Estimator struct {
 	p       EstimatorParams
-	samples []PlethSample
+	samples []PlethSample // Push's buffer, allocated by its first call
 	perWin  int
 	ac      []float64 // zero-mean IR scratch, reused across windows
-	r       []float64 // autocorrelation by lag, reused across windows
+	lags    lagScratch
 }
 
 // NewEstimator returns an estimator sized for the given parameters.
@@ -58,17 +58,12 @@ func NewEstimator(p EstimatorParams) *Estimator {
 		panic("sigproc: window too short for analysis")
 	}
 	return &Estimator{
-		p:       p,
-		samples: make([]PlethSample, 0, perWin),
-		perWin:  perWin,
-		ac:      make([]float64, perWin),
-		r:       make([]float64, perWin), // lags run at most to perWin-1
+		p:      p,
+		perWin: perWin,
+		ac:     make([]float64, perWin),
+		lags:   newLagScratch(perWin),
 	}
 }
-
-// Reset drops any partially accumulated window so a prototype clone
-// starts from an empty buffer; parameters and scratch capacity persist.
-func (e *Estimator) Reset() { e.samples = e.samples[:0] }
 
 // WindowSamples reports how many samples form one analysis window.
 func (e *Estimator) WindowSamples() int { return e.perWin }
@@ -80,24 +75,31 @@ func (e *Estimator) ProcessingDelay() sim.Time { return e.p.Window }
 // Push adds one sample. When a full window has accumulated it is analyzed,
 // the buffer resets, and the estimate is returned with ok=true.
 func (e *Estimator) Push(s PlethSample) (Estimate, bool) {
+	if e.samples == nil {
+		e.samples = make([]PlethSample, 0, e.perWin)
+	}
 	e.samples = append(e.samples, s)
 	if len(e.samples) < e.perWin {
 		return Estimate{}, false
 	}
-	est := e.analyze()
+	est := e.Analyze(e.samples)
 	e.samples = e.samples[:0]
 	return est, true
 }
 
-// analyze runs ratio-of-ratios SpO2 estimation and autocorrelation-based
-// heart-rate detection over the buffered window.
-func (e *Estimator) analyze() Estimate {
-	n := len(e.samples)
-	endT := e.samples[n-1].T
+// Analyze runs ratio-of-ratios SpO2 estimation and autocorrelation-based
+// heart-rate detection over one whole window, len(window) ==
+// WindowSamples(). It leaves the samples Push has buffered alone.
+func (e *Estimator) Analyze(window []PlethSample) Estimate {
+	n := len(window)
+	if n != e.perWin {
+		panic("sigproc: Analyze needs exactly one window of samples")
+	}
+	endT := window[n-1].T
 
 	// Channel means (DC) and zero-mean AC series.
 	var dcR, dcI float64
-	for _, s := range e.samples {
+	for _, s := range window {
 		dcR += s.Red
 		dcI += s.IR
 	}
@@ -113,7 +115,7 @@ func (e *Estimator) analyze() Estimate {
 	// original floating-point operation order bit for bit.
 	acI := e.ac[:n]
 	var rmsR, energyI float64
-	for i, s := range e.samples {
+	for i, s := range window {
 		ar := s.Red - dcR
 		ai := s.IR - dcI
 		acI[i] = ai
@@ -129,10 +131,8 @@ func (e *Estimator) analyze() Estimate {
 	ratio := (rmsR / dcR) / (rmsI / dcI)
 	spo2 := SpO2ForRatio(ratio)
 
-	// Heart rate by autocorrelation peak of the IR AC component. The IR
-	// energy is the zero-lag autocorrelation: the same terms, summed in
-	// the same order.
-	hr, periodicity := autocorrHR(acI, e.r, energyI, e.p.SampleRate, e.p.MinHeartRate, e.p.MaxHeartRate)
+	// Heart rate by autocorrelation peak of the IR AC component.
+	hr, periodicity := autocorrHR(acI, &e.lags, e.p.SampleRate, e.p.MinHeartRate, e.p.MaxHeartRate)
 
 	quality := periodicity
 	valid := quality >= e.p.MinQuality && hr >= e.p.MinHeartRate && hr <= e.p.MaxHeartRate &&
@@ -140,12 +140,84 @@ func (e *Estimator) analyze() Estimate {
 	return Estimate{T: endT, HeartRate: hr, SpO2: spo2, Valid: valid, Quality: quality}
 }
 
+// lagScratch is autocorrHR's working memory for windows of up to n
+// samples, reused across windows.
+type lagScratch struct {
+	r    []float64 // r[lag]: autocorrelation at lag
+	head []float64 // head[m]: energy of x[:m], summed in ascending order
+	tail []float64 // tail[l]: energy of x[l:], summed in descending order
+}
+
+func newLagScratch(n int) lagScratch {
+	return lagScratch{
+		r:    make([]float64, n), // lags run at most to n-1
+		head: make([]float64, n+1),
+		tail: make([]float64, n+1),
+	}
+}
+
+// energies fills head[:len(x)+1] and tail[:len(x)+1] for x and returns
+// x's energy, its zero-lag autocorrelation: head[len(x)], the same terms
+// the estimator sums for its IR RMS, in the same order.
+func (s *lagScratch) energies(x []float64) float64 {
+	n := len(x)
+	head, tail := s.head[:n+1], s.tail[:n+1]
+	var h, t float64
+	head[0], tail[n] = 0, 0
+	for i, v := range x {
+		h += v * v
+		head[i+1] = h
+		j := n - 1 - i
+		t += x[j] * x[j]
+		tail[j] = t
+	}
+	return h
+}
+
+// pruneMargin is the relative slack corrBound adds to the Cauchy–Schwarz
+// bound. The relative rounding it covers, about 2n·2⁻⁵³ over an n-sample
+// window, stays below it up to maxPruneWindow samples; longer windows
+// never prune.
+const (
+	pruneMargin    = 1e-9
+	maxPruneWindow = 1 << 20
+)
+
+// corrBound bounds |lagCorr(x, l)| for every l >= lag from x's energies
+// (head and tail as filled by energies, len(x)+1 entries each).
+//
+// Cauchy–Schwarz gives |r[l]| <= sqrt(head[n-l] * tail[l]) for the exact
+// sums: r[l] pairs x[i+l] with x[i] for i < n-l. Both energies only
+// shrink as l grows, so the bound at lag covers every later lag. The
+// computed sums add non-negative terms, so each is within a relative
+// n·2⁻⁵³ of its exact value, and pruneMargin covers that. A square or
+// product that underflows loses up to half the smallest subnormal
+// instead, so tiny, n smallest subnormals, is added to each energy and
+// to the bound. The square roots are taken apart so that their product
+// cannot underflow.
+func corrBound(head, tail []float64, lag int, tiny float64) float64 {
+	n := len(head) - 1
+	return math.Sqrt(head[n-lag]+tiny)*math.Sqrt(tail[lag]+tiny)*(1+pruneMargin) + tiny
+}
+
 // autocorrHR finds the dominant periodicity in x and converts it to
-// beats/min. r0 is x's zero-lag autocorrelation (its energy) and r is
-// scratch of at least len(x) entries. The returned periodicity in [0,1]
-// is the normalized autocorrelation at the detected lag — a natural
+// beats/min, using s as scratch. The returned periodicity in [0,1] is the
+// normalized autocorrelation at the detected lag — a natural
 // signal-quality index that collapses under uncorrelated artifact noise.
-func autocorrHR(x, r []float64, r0, fs, minHR, maxHR float64) (hr, periodicity float64) {
+//
+// The argmax runs interleaved with the sweep, one block of lagBlock lags
+// at a time in ascending order, and stops before a block once
+// corrBound(lag) < bestR*r0: then every later lag l has
+// lagCorr(x, l) < bestR*r0 exactly, so r[l]/r0 rounds to at most bestR
+// and the strict > below would never take it. The result is the full
+// sweep's, bit for bit; the sweep just skips lags that cannot win. A
+// clean periodic window stops early, while a noisy, dropout or motion
+// window keeps a weak best and sweeps every lag. NaN or Inf energy never
+// prunes, since every comparison with NaN is false and an Inf bound is
+// never below the best. The subharmonic check reads r[bestLag/2], a lag
+// below bestLag, which the sweep has always computed.
+func autocorrHR(x []float64, s *lagScratch, fs, minHR, maxHR float64) (hr, periodicity float64) {
+	r0 := s.energies(x)
 	if r0 == 0 {
 		return 0, 0
 	}
@@ -158,19 +230,28 @@ func autocorrHR(x, r []float64, r0, fs, minHR, maxHR float64) (hr, periodicity f
 	if minLag < 1 {
 		minLag = 1
 	}
-	lagSweep(r, x, minLag, maxLag)
+	r, head, tail := s.r, s.head[:n+1], s.tail[:n+1]
+	prune := n <= maxPruneWindow
+	tiny := float64(n) * math.SmallestNonzeroFloat64
 	bestLag, bestR := 0, 0.0
-	for lag := minLag; lag <= maxLag; lag++ {
-		if v := r[lag] / r0; v > bestR {
-			bestR = v
-			bestLag = lag
+	for lag := minLag; lag <= maxLag; lag += lagBlock {
+		if prune && bestR > 0 && corrBound(head, tail, lag, tiny) < bestR*r0 {
+			break
+		}
+		hi := min(lag+lagBlock-1, maxLag)
+		lagSweep(r, x, lag, hi)
+		for l := lag; l <= hi; l++ {
+			if v := r[l] / r0; v > bestR {
+				bestR = v
+				bestLag = l
+			}
 		}
 	}
 	if bestLag == 0 {
 		return 0, 0
 	}
 	// Refine: if lag/2 also scores nearly as high, the true period is the
-	// half (we latched onto a subharmonic). The sweep already holds it.
+	// half (we latched onto a subharmonic).
 	if half := bestLag / 2; half >= minLag {
 		if v := r[half] / r0; v > 0.85*bestR {
 			bestLag = half

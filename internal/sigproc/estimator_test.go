@@ -146,15 +146,14 @@ func refAutocorrHR(x []float64, fs, minHR, maxHR float64) (hr, periodicity float
 	return 60 * fs / float64(bestLag), clamp01(bestR), halved
 }
 
-// autocorrHR must return the one-lag reference's bits, including on
-// pulse trains with a strong second harmonic, which take the
-// subharmonic branch.
-func TestAutocorrHRMatchesReference(t *testing.T) {
+// randomPulseTrains draws 500 default-length windows of a sine pulse with
+// a random period across the whole lag range, a random second harmonic
+// (strong enough on some to take the subharmonic branch) and random
+// white noise.
+func randomPulseTrains() [][]float64 {
 	rng := rand.New(rand.NewSource(3))
-	p := DefaultEstimator()
-	r := make([]float64, 200)
-	halves := 0
-	for trial := 0; trial < 500; trial++ {
+	trains := make([][]float64, 500)
+	for k := range trains {
 		x := make([]float64, 200)
 		period := 12 + rng.Float64()*108
 		h2 := rng.Float64() * 1.5
@@ -163,11 +162,22 @@ func TestAutocorrHRMatchesReference(t *testing.T) {
 			ph := 2 * math.Pi * float64(i) / period
 			x[i] = math.Sin(ph) + h2*math.Sin(2*ph) + noise*rng.NormFloat64()
 		}
-		var r0 float64
-		for _, v := range x {
-			r0 += v * v
-		}
-		hr, q := autocorrHR(x, r, r0, p.SampleRate, p.MinHeartRate, p.MaxHeartRate)
+		trains[k] = x
+	}
+	return trains
+}
+
+// autocorrHR must return the one-lag reference's bits, including on
+// pulse trains with a strong second harmonic, which take the
+// subharmonic branch, and on trains whose sweep stops early.
+func TestAutocorrHRMatchesReference(t *testing.T) {
+	p := DefaultEstimator()
+	sc := newLagScratch(200)
+	maxLag := int(p.SampleRate * 60 / p.MinHeartRate)
+	halves, pruned := 0, 0
+	for trial, x := range randomPulseTrains() {
+		sc.r[maxLag] = math.NaN() // left as is when the sweep stops early
+		hr, q := autocorrHR(x, &sc, p.SampleRate, p.MinHeartRate, p.MaxHeartRate)
 		wantHR, wantQ, halved := refAutocorrHR(x, p.SampleRate, p.MinHeartRate, p.MaxHeartRate)
 		if !sameBits(hr, wantHR) || !sameBits(q, wantQ) {
 			t.Fatalf("trial %d: got (%v, %v), reference (%v, %v)", trial, hr, q, wantHR, wantQ)
@@ -175,10 +185,84 @@ func TestAutocorrHRMatchesReference(t *testing.T) {
 		if halved {
 			halves++
 		}
+		if math.IsNaN(sc.r[maxLag]) {
+			pruned++
+		}
 	}
 	if halves == 0 {
 		t.Fatal("no trial took the subharmonic branch")
 	}
+	if pruned == 0 {
+		t.Fatal("no trial stopped the sweep early")
+	}
+}
+
+// The pruning rests on corrBound: at every lag it must bound the
+// one-lag autocorrelation of that lag and of every later one.
+func TestAutocorrBoundHolds(t *testing.T) {
+	sc := newLagScratch(200)
+	for trial, x := range randomPulseTrains() {
+		n := len(x)
+		sc.energies(x)
+		tiny := float64(n) * math.SmallestNonzeroFloat64
+		later := 0.0 // max |lagCorr| over the lags from lag on
+		for lag := n - 1; lag >= 1; lag-- {
+			later = math.Max(later, math.Abs(lagCorr(x, lag)))
+			if b := corrBound(sc.head[:n+1], sc.tail[:n+1], lag, tiny); !(later <= b) {
+				t.Fatalf("trial %d lag %d: |lagCorr| up to %v above the bound %v", trial, lag, later, b)
+			}
+		}
+	}
+}
+
+// FuzzAutocorrHR feeds arbitrary float64 bit patterns (NaN, ±Inf, zero,
+// subnormal and overflowing energies included) through the pruned search
+// with the default gates and demands the one-lag reference's bits.
+func FuzzAutocorrHR(f *testing.F) {
+	encode := func(x []float64) []byte {
+		b := make([]byte, 8*len(x))
+		for i, v := range x {
+			binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
+		}
+		return b
+	}
+	rng := rand.New(rand.NewSource(4))
+	trains := randomPulseTrains()
+	f.Add(encode(trains[0]))
+	f.Add(encode(trains[1][:150]))
+	f.Add(encode(randomWindow(rng, 200)))
+	f.Add(encode(randomWindow(rng, 300)))
+	f.Add(encode(make([]float64, 100)))
+	small := make([]float64, 200) // squares underflow to subnormals or zero
+	for i, v := range trains[2] {
+		small[i] = v * 1e-160
+	}
+	f.Add(encode(small))
+	// x[0]² underflows to zero, so the energies alone say lags 16 on
+	// cannot reach the best of lags 12..15 (r[12] = x[29]*x[17]), yet
+	// lag 29 = x[29]*x[0] beats it.
+	under := make([]float64, 30)
+	under[0], under[17], under[29] = 1e-170, 1e-171, 1e140
+	f.Add(encode(under))
+	f.Add(encode([]float64{1, math.Inf(1), -2, math.NaN(), 3, 1e308, -1e308, 5e-324, 0, 1, 2, 3, 4, 5}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n := len(data) / 8
+		if n < 8 || n > 300 {
+			return
+		}
+		x := make([]float64, n)
+		for i := range x {
+			x[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+		}
+		p := DefaultEstimator()
+		sc := newLagScratch(n)
+		hr, q := autocorrHR(x, &sc, p.SampleRate, p.MinHeartRate, p.MaxHeartRate)
+		wantHR, wantQ, _ := refAutocorrHR(x, p.SampleRate, p.MinHeartRate, p.MaxHeartRate)
+		if !sameBits(hr, wantHR) || !sameBits(q, wantQ) {
+			t.Fatalf("n=%d: got (%x, %x), reference (%x, %x)", n,
+				math.Float64bits(hr), math.Float64bits(q), math.Float64bits(wantHR), math.Float64bits(wantQ))
+		}
+	})
 }
 
 // pushWindow feeds one whole window and returns the estimate it closes.
@@ -207,7 +291,8 @@ func syntheticWindow(est *Estimator) []PlethSample {
 }
 
 // A Push that closes a window reuses the estimator's scratch: the whole
-// window, analysis included, must not allocate.
+// window, analysis included, must not allocate. Neither may the
+// oximeter's path, a window synthesized in place and analyzed there.
 func TestAllocsEstimatorWindow(t *testing.T) {
 	if sim.RaceEnabled {
 		t.Skip("allocation gates are meaningless under -race")
@@ -217,14 +302,37 @@ func TestAllocsEstimatorWindow(t *testing.T) {
 	if got := testing.AllocsPerRun(200, func() { pushWindow(t, est, buf) }); got != 0 {
 		t.Fatalf("one estimator window allocates %v/op, want 0", got)
 	}
+	synth := NewSynth(DefaultSynth(), sim.NewRNG(1))
+	dt := synth.SampleInterval()
+	t0 := sim.Time(0)
+	if got := testing.AllocsPerRun(200, func() {
+		synth.Fill(buf, t0, dt, 78, 97)
+		est.Analyze(buf)
+		t0 += sim.Time(len(buf)) * dt
+	}); got != 0 {
+		t.Fatalf("one Fill + Analyze window allocates %v/op, want 0", got)
+	}
+}
+
+// Analyze takes exactly one window.
+func TestAnalyzeRejectsPartialWindow(t *testing.T) {
+	est := NewEstimator(DefaultEstimator())
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Analyze accepted a window one sample short")
+		}
+	}()
+	est.Analyze(make([]PlethSample, est.WindowSamples()-1))
 }
 
 // BenchmarkEstimatorWindow is one default 4 s, 50 Hz window of real
 // synthesized pleth pushed through the estimator: 199 buffering pushes
-// and the one that runs the analysis.
+// and the one that runs the analysis. A first window, outside the
+// timing, allocates Push's buffer.
 func BenchmarkEstimatorWindow(b *testing.B) {
 	est := NewEstimator(DefaultEstimator())
 	buf := syntheticWindow(est)
+	pushWindow(b, est, buf)
 	b.ReportAllocs()
 	for b.Loop() {
 		pushWindow(b, est, buf)

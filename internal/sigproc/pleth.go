@@ -108,40 +108,64 @@ func SpO2ForRatio(r float64) float64 {
 }
 
 // Next produces the sample at time t for a patient with the given true
-// heart rate and SpO2. dt is the time since the previous sample.
+// heart rate and SpO2. dt is the time since the previous sample. It is a
+// one-sample Fill.
 func (s *Synth) Next(t sim.Time, dt sim.Time, heartRate, spo2 float64) PlethSample {
+	var out [1]PlethSample
+	s.Fill(out[:], t, dt, heartRate, spo2)
+	return out[0]
+}
+
+// Fill produces len(dst) consecutive samples, dst[i] at t0 + i*dt, for a
+// patient whose true heart rate and SpO2 hold over the whole span; dt is
+// also the time from the previous sample to dst[0]. It equals len(dst)
+// Next calls bit for bit, RNG draws included: what is fixed for the call
+// is computed once, with the expressions a single sample uses, while the
+// dropout, bias and artifact windows are still checked sample by sample.
+func (s *Synth) Fill(dst []PlethSample, t0, dt sim.Time, heartRate, spo2 float64) {
 	if heartRate < 10 {
 		heartRate = 10
 	}
-	s.phase += heartRate / 60 * dt.Seconds()
-	s.phase -= math.Floor(s.phase)
-
-	if t < s.dropoutUntil {
-		// Probe disconnected: both channels collapse to ambient noise.
-		return PlethSample{T: t, Red: s.rng.Normal(0, s.p.NoiseStddev*5), IR: s.rng.Normal(0, s.p.NoiseStddev*5)}
-	}
-
-	if t < s.biasUntil {
+	step := heartRate / 60 * dt.Seconds()
+	acIR := s.p.Perfusion
+	noise := s.p.NoiseStddev
+	acRed := RatioForSpO2(spo2) * acIR
+	acRedBiased := acRed
+	if t0 < s.biasUntil {
 		// Probe misposition: the waveform stays clean (the estimator sees
 		// high quality) but the red/IR ratio is shifted — a plausible,
 		// VALID, wrong reading. This is the failure mode multivariate
 		// smart alarms exist to reject.
-		spo2 -= s.biasDelta
+		acRedBiased = RatioForSpO2(spo2-s.biasDelta) * acIR
 	}
-	pulse := pulseShape(s.phase)
-	acIR := s.p.Perfusion
-	acRed := RatioForSpO2(spo2) * acIR
+	phase := s.phase
+	for i := range dst {
+		t := t0 + sim.Time(i)*dt
+		phase += step
+		phase -= math.Floor(phase)
 
-	ir := 1 + acIR*pulse + s.rng.Normal(0, s.p.NoiseStddev)
-	red := 1 + acRed*pulse + s.rng.Normal(0, s.p.NoiseStddev)
+		if t < s.dropoutUntil {
+			// Probe disconnected: both channels collapse to ambient noise.
+			dst[i] = PlethSample{T: t, Red: s.rng.Normal(0, noise*5), IR: s.rng.Normal(0, noise*5)}
+			continue
+		}
+		ac := acRed
+		if t < s.biasUntil {
+			ac = acRedBiased
+		}
+		pulse := pulseShape(phase)
+		ir := 1 + acIR*pulse + s.rng.Normal(0, noise)
+		red := 1 + ac*pulse + s.rng.Normal(0, noise)
 
-	if t < s.artifactUntil {
-		// Motion artifact: correlated large-amplitude disturbance.
-		m := s.artifactGain * s.rng.Normal(0, s.p.Perfusion*4)
-		ir += m
-		red += m * s.rng.Uniform(0.7, 1.3)
+		if t < s.artifactUntil {
+			// Motion artifact: correlated large-amplitude disturbance.
+			m := s.artifactGain * s.rng.Normal(0, acIR*4)
+			ir += m
+			red += m * s.rng.Uniform(0.7, 1.3)
+		}
+		dst[i] = PlethSample{T: t, Red: red, IR: ir}
 	}
-	return PlethSample{T: t, Red: red, IR: ir}
+	s.phase = phase
 }
 
 // InjectMotion corrupts the signal with motion artifact for the duration.
