@@ -257,43 +257,35 @@ func BenchmarkE13UserModel(b *testing.B) {
 }
 
 // BenchmarkFleetPCAScaling runs a fixed fleet of independent PCA patient
-// rooms at increasing worker counts, with prototype cloning on (proto=1,
-// the default path) and off (proto=0, every cell constructed from
-// scratch). The cells/s metric is the headline: it should scale with
-// workers up to the core count, the proto=1 rows should dominate
-// proto=0, and the reduced clinical outcome stays bit-identical across
+// rooms at increasing worker counts, every cell built from scratch. The
+// cells/s metric is the headline: it should scale with workers up to the
+// core count, and the reduced clinical outcome stays bit-identical across
 // all of it (the determinism tests assert the bytes; the benchmark
 // reports the mean nadir as a tripwire).
 func BenchmarkFleetPCAScaling(b *testing.B) {
 	const cells = 8
-	for _, proto := range []bool{true, false} {
-		for _, workers := range []int{1, 2, 4, 8} {
-			p := 0
-			if proto {
-				p = 1
+	for _, workers := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			spec, err := fleet.Build(fleet.ScenarioPCASupervised, fleet.Params{
+				Seed: 42, Cells: cells, Duration: 30 * sim.Minute,
+			})
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.Run(fmt.Sprintf("workers=%d/proto=%d", workers, p), func(b *testing.B) {
-				spec, err := fleet.Build(fleet.ScenarioPCASupervised, fleet.Params{
-					Seed: 42, Cells: cells, Duration: 30 * sim.Minute,
-				})
+			runner := fleet.Runner{Workers: workers}
+			var last []fleet.Result
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := runner.Run(spec)
 				if err != nil {
 					b.Fatal(err)
 				}
-				runner := fleet.Runner{Workers: workers, NoPrototype: !proto}
-				var last []fleet.Result
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					res, err := runner.Run(spec)
-					if err != nil {
-						b.Fatal(err)
-					}
-					last = res
-				}
-				b.StopTimer()
-				b.ReportMetric(float64(cells)*float64(b.N)/b.Elapsed().Seconds(), "cells/s")
-				b.ReportMetric(fleet.Reduce(last).Mean(closedloop.MetricMinSpO2), "mean-minSpO2")
-			})
-		}
+				last = res
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(cells)*float64(b.N)/b.Elapsed().Seconds(), "cells/s")
+			b.ReportMetric(fleet.Reduce(last).Mean(closedloop.MetricMinSpO2), "mean-minSpO2")
+		})
 	}
 }
 

@@ -163,29 +163,6 @@ func MustNewPCASupervisor(k *sim.Kernel, mgr *core.Manager, cfg PCAConfig) *PCAS
 	return s
 }
 
-// Reset returns the supervisor to its just-attached state for a
-// prototype clone: infusing, watchdog primed from the (reset) clock,
-// alarms and counters cleared, and the watchdog ticker re-armed in
-// NewPCASupervisor's order. Subscriptions, alarm listeners, and the
-// decide pool are construction-time wiring and are retained. Kernel
-// and manager must be reset first.
-func (s *PCASupervisor) Reset() {
-	s.state = PCAInfusing
-	s.lastValidData = s.k.Now()
-	s.lastSpO2 = 0
-	s.lastHR = 0
-	s.recoveredAt = 0
-	s.timeoutFired = false
-	s.alarms = s.alarms[:0]
-	s.StopsIssued = 0
-	s.ResumesIssued = 0
-	s.DataTimeouts = 0
-	s.CommandRetries = 0
-	s.StopLatencySum = 0
-	s.StopAcks = 0
-	s.watchdog.Reset()
-}
-
 // State reports the commanded pump state.
 func (s *PCASupervisor) State() PCAState { return s.state }
 

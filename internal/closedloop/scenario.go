@@ -83,21 +83,6 @@ type PCAScenario struct {
 	Ward     *device.Ward
 	Sup      *PCASupervisor // nil when disabled
 	Trace    *sim.Trace
-
-	// Prototype-cloning state (see Reset): the root RNG and the child
-	// generators handed to each component at build time, the tickers the
-	// builder schedules directly, the interned observation series, and
-	// the codec-stats baseline captured at the last Reset so per-cell
-	// wire metrics are deltas rather than rig lifetime totals.
-	rootRNG    *sim.RNG
-	netRNG     *sim.RNG
-	patientRNG *sim.RNG
-	oxRNG      *sim.RNG
-	demandTick *sim.Ticker
-	proxyTick  *sim.Ticker // nil unless ProxyPressInterval > 0
-	obsSpO2    sim.SeriesID
-	ws0        core.CodecStats
-	resettable bool // false for population-sampled patients
 }
 
 // PCAOutcome summarizes a finished run for scoring.
@@ -117,18 +102,10 @@ type PCAOutcome struct {
 }
 
 // BuildPCAScenario constructs (but does not run) the rig.
-//
-// The construction sequence below is load-bearing for prototype cloning:
-// Reset replays the same RNG forks and scheduling calls in the same
-// order, which reproduces the kernel's event sequence numbers and
-// therefore the exact execution order of a fresh build. Any new fork,
-// ticker, or construction-time send added here must be mirrored in
-// Reset at the same position.
 func BuildPCAScenario(cfg PCAScenarioConfig) *PCAScenario {
 	k := sim.NewKernel()
 	rng := sim.NewRNG(cfg.Seed)
-	netRNG := rng.Fork("net")
-	net := mednet.MustNew(k, netRNG, cfg.Link)
+	net := mednet.MustNew(k, rng.Fork("net"), cfg.Link)
 	// One codec instance serves the whole cell (it is single-threaded),
 	// sharing the decode intern table and summing encode accounting.
 	wire := core.NewBinaryCodec()
@@ -136,10 +113,7 @@ func BuildPCAScenario(cfg PCAScenarioConfig) *PCAScenario {
 	mgrCfg.Codec = wire
 	mgr := core.MustNewManager(k, net, mgrCfg)
 
-	sc := &PCAScenario{
-		K: k, Net: net, Mgr: mgr, Wire: wire,
-		rootRNG: rng, netRNG: netRNG,
-	}
+	sc := &PCAScenario{K: k, Net: net, Mgr: mgr, Wire: wire}
 
 	if cfg.UsePopulation {
 		sc.Patient = cfg.Population.Sample(cfg.PatientIdx, rng.Fork("population"))
@@ -148,10 +122,8 @@ func BuildPCAScenario(cfg PCAScenarioConfig) *PCAScenario {
 		if tr.ID == "" {
 			tr = physio.DefaultTraits()
 		}
-		sc.patientRNG = rng.Fork("patient")
 		sc.Patient = physio.NewPatient(tr, physio.MustPK(physio.DefaultMorphinePK()),
-			physio.MustPD(physio.DefaultMorphinePD()), sc.patientRNG)
-		sc.resettable = true
+			physio.MustPD(physio.DefaultMorphinePD()), rng.Fork("patient"))
 	}
 	patient := sc.Patient
 
@@ -161,8 +133,7 @@ func BuildPCAScenario(cfg PCAScenarioConfig) *PCAScenario {
 	}
 	pump := device.MustNewPump(k, net, "pump1", pumpSettings, core.ConnectConfig{Codec: wire})
 	sc.Pump = pump
-	sc.oxRNG = rng.Fork("ox")
-	sc.Oximeter = device.MustNewOximeter(k, net, "ox1", patient, sc.oxRNG, core.ConnectConfig{Codec: wire})
+	sc.Oximeter = device.MustNewOximeter(k, net, "ox1", patient, rng.Fork("ox"), core.ConnectConfig{Codec: wire})
 
 	trace := cfg.Trace
 	if trace == nil {
@@ -180,83 +151,34 @@ func BuildPCAScenario(cfg PCAScenarioConfig) *PCAScenario {
 			supCfg = DefaultPCAConfig("pump1", "ox1")
 		}
 		sc.Sup = MustNewPCASupervisor(k, mgr, supCfg)
-		// The closure reads sc.Trace (not a captured local) so Reset can
-		// swap in a pooled trace between cells.
-		sc.Sup.OnAlarm(func(a Alarm) { sc.Trace.Annotate(a.At, "alarm", "%s: %s", a.Kind, a.Msg) })
+		sc.Sup.OnAlarm(func(a Alarm) { trace.Annotate(a.At, "alarm", "%s: %s", a.Kind, a.Msg) })
 	}
 
 	// Patient demand behaviour: check the urge every 30 s.
-	sc.demandTick = k.Every(30*time.Second, func(sim.Time) {
+	k.Every(30*time.Second, func(sim.Time) {
 		if patient.WantsBolus(30 * sim.Second) {
 			pump.PressButton()
 		}
 	})
 	// PCA-by-proxy abuse, if configured.
 	if cfg.ProxyPressInterval > 0 {
-		sc.proxyTick = k.Every(cfg.ProxyPressInterval.Duration(), func(sim.Time) { pump.PressButton() })
+		k.Every(cfg.ProxyPressInterval.Duration(), func(sim.Time) { pump.PressButton() })
 	}
 	// Record supervisor-visible signals (interned: one sample per
-	// estimate window for the whole session). Reads sc fields so Reset
-	// can re-intern against a swapped trace.
-	sc.obsSpO2 = trace.SeriesID("obs/spo2")
+	// estimate window for the whole session).
+	obsSpO2 := trace.SeriesID("obs/spo2")
 	mgr.Subscribe("ox1/spo2", func(_ string, d core.Datum) {
 		if d.Valid {
-			sc.Trace.RecordID(sc.obsSpO2, k.Now(), d.Value)
+			trace.RecordID(obsSpO2, k.Now(), d.Value)
 		}
 	})
-	// Configured network partition of the sensing path. Outage windows
-	// are pure Network state (no events, no RNG draws), so Reset keeps
-	// them rather than re-appending.
+	// Configured network partition of the sensing path.
 	if cfg.OximeterOutageEnd > cfg.OximeterOutageStart {
 		if err := net.Outage("ox1", mgr.Addr(), cfg.OximeterOutageStart, cfg.OximeterOutageEnd); err != nil {
 			panic(fmt.Sprintf("closedloop: oximeter outage: %v", err))
 		}
 	}
 	return sc
-}
-
-// Resettable reports whether this rig supports prototype cloning via
-// Reset. Population-sampled patients are rebuilt per cell (the sampled
-// patient pointer is baked into device and ticker closures), so those
-// configurations construct from scratch instead.
-func (sc *PCAScenario) Resettable() bool { return sc.resettable }
-
-// Reset rewinds the rig to the just-built state for a new cell seeded
-// with seed, recording into trace (pass nil to keep the current trace,
-// which the caller must have Reset). It replays BuildPCAScenario's RNG
-// forks and scheduling calls in construction order against the cleared
-// kernel, so the event sequence numbers — and therefore the cell's
-// execution order and every recorded byte — match a from-scratch build
-// with the same config and seed. The codec-stats baseline is captured
-// here so CellMetrics reports this cell's wire traffic only.
-func (sc *PCAScenario) Reset(seed int64, trace *sim.Trace) {
-	if !sc.resettable {
-		panic("closedloop: Reset on a population-sampled PCAScenario")
-	}
-	sc.K.Reset()
-	sc.rootRNG.Reseed(seed)
-	sc.netRNG.Reseed(sc.rootRNG.ForkSeed("net"))
-	sc.Net.Reset()
-	sc.ws0 = sc.Wire.Stats() // before re-announce traffic: deltas span exactly one cell
-	sc.Mgr.Reset()           // sweeper: first scheduled event, as at build
-	sc.patientRNG.Reseed(sc.rootRNG.ForkSeed("patient"))
-	sc.Patient.Reset()
-	sc.Pump.Reset() // re-announce + heartbeat + telemetry, in NewPump order
-	sc.oxRNG.Reseed(sc.rootRNG.ForkSeed("ox"))
-	sc.Oximeter.Reset()
-	if trace != nil {
-		sc.Trace = trace
-		sc.Ward.Trace = trace
-	}
-	sc.Ward.Reset()
-	if sc.Sup != nil {
-		sc.Sup.Reset()
-	}
-	sc.demandTick.Reset()
-	if sc.proxyTick != nil {
-		sc.proxyTick.Reset()
-	}
-	sc.obsSpO2 = sc.Trace.SeriesID("obs/spo2")
 }
 
 // Run executes the scenario to its horizon and scores it.
@@ -385,44 +307,5 @@ func RunPCACell(cfg PCAScenarioConfig) (map[string]float64, error) {
 	ws := sc.Wire.Stats()
 	m[MetricWireBytes] = float64(ws.Bytes)
 	m[MetricWireEncodeNS] = float64(ws.EncodeNS)
-	return m, nil
-}
-
-// PCACellRig is the prototype behind fleet cloning for PCA scenarios:
-// one BuildPCAScenario rig, stamped into successive cells by Reset
-// instead of reconstructed. It belongs to a single worker goroutine.
-type PCACellRig struct {
-	cfg PCAScenarioConfig
-	sc  *PCAScenario
-}
-
-// NewPCACellRig builds the prototype once from cfg. It returns nil when
-// the configuration cannot be cloned (population sampling rebuilds the
-// patient per cell); callers fall back to from-scratch construction.
-func NewPCACellRig(cfg PCAScenarioConfig) *PCACellRig {
-	if cfg.UsePopulation {
-		return nil
-	}
-	cfg.Trace = nil // per-cell traces arrive through RunCell
-	return &PCACellRig{cfg: cfg, sc: BuildPCAScenario(cfg)}
-}
-
-// RunCell stamps one cell from the prototype: Reset to seed, run to the
-// configured horizon, and flatten — returning byte-identical metrics to
-// RunPCACell on the same config and seed. Wire stats are reported as
-// deltas over this cell (a from-scratch codec starts at zero, so the
-// absolute and delta views coincide).
-func (r *PCACellRig) RunCell(seed int64, trace *sim.Trace) (map[string]float64, error) {
-	sc := r.sc
-	sc.Reset(seed, trace)
-	out, err := sc.Run(r.cfg.Duration)
-	if err != nil {
-		return nil, err
-	}
-	m := out.Metrics()
-	m[MetricSimEvents] = float64(sc.K.Executed())
-	ws := sc.Wire.Stats()
-	m[MetricWireBytes] = float64(ws.Bytes - sc.ws0.Bytes)
-	m[MetricWireEncodeNS] = float64(ws.EncodeNS - sc.ws0.EncodeNS)
 	return m, nil
 }

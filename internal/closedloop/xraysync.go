@@ -135,21 +135,6 @@ func NewXRaySync(k *sim.Kernel, mgr *core.Manager, cfg XRaySyncConfig) (*XRaySyn
 	return s, nil
 }
 
-// Reset returns the synchronizer to its just-attached state for a
-// prototype clone: no anchor seen, rate back to the configured cycle,
-// counters cleared. Subscriptions are construction-time wiring and are
-// retained; NewXRaySync schedules nothing, so there is nothing to
-// re-arm.
-func (s *XRaySync) Reset() {
-	s.anchor = 0
-	s.anchorSeen = false
-	s.rate = s.cfg.Cycle.RatePerMin
-	s.Requests = 0
-	s.ShotsCommanded = 0
-	s.Deferred = 0
-	s.ResumeFailures = 0
-}
-
 // MustNewXRaySync is NewXRaySync, panicking on error.
 func MustNewXRaySync(k *sim.Kernel, mgr *core.Manager, cfg XRaySyncConfig) *XRaySync {
 	s, err := NewXRaySync(k, mgr, cfg)

@@ -109,29 +109,6 @@ func MustConnect(k *sim.Kernel, net *mednet.Network, desc Descriptor, cfg Connec
 	return c
 }
 
-// Reset replays Connect's runtime side effects for a prototype clone:
-// admission state, the replay window, the envelope sequence, and the
-// counters clear; then the endpoint re-registers on the network,
-// re-announces itself (drawing the same network RNG sequence a fresh
-// Connect would), and re-arms its heartbeat ticker — the exact tail of
-// Connect, replayed so the clone's scheduling order matches a
-// from-scratch build. Handlers, admission callbacks, the codec, and the
-// topic cache are retained. Callers must Reset the kernel and network
-// first and reset device connections in their original Connect order.
-func (c *DeviceConn) Reset() {
-	c.seq = 0
-	c.replay = replayWindow{}
-	c.admitted = false
-	c.admitErr = ""
-	c.connected = true
-	c.CommandsOK = 0
-	c.CommandsFailed = 0
-	c.AuthRejected = 0
-	c.net.Register(c.desc.ID, c.onMessage)
-	c.sendEnvelope(MsgAnnounce, &c.desc)
-	c.beat.Reset()
-}
-
 // ID returns the device's network identity.
 func (c *DeviceConn) ID() string { return c.desc.ID }
 

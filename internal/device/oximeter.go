@@ -26,7 +26,6 @@ type Oximeter struct {
 	synth   *sigproc.Synth
 	est     *sigproc.Estimator
 	win     []sigproc.PlethSample // one analysis window, synthesized in place
-	tick    *sim.Ticker
 
 	// Counters for experiments.
 	Estimates        uint64
@@ -66,7 +65,7 @@ func NewOximeter(k *sim.Kernel, net *mednet.Network, id string, patient *physio.
 		win:     make([]sigproc.PlethSample, est.WindowSamples()),
 	}
 	window := o.est.ProcessingDelay()
-	o.tick = k.Every(window.Duration(), func(now sim.Time) { o.processWindow(now, window) })
+	k.Every(window.Duration(), func(now sim.Time) { o.processWindow(now, window) })
 	return o, nil
 }
 
@@ -81,20 +80,6 @@ func MustNewOximeter(k *sim.Kernel, net *mednet.Network, id string, patient *phy
 
 // Conn exposes the ICE connection.
 func (o *Oximeter) Conn() *core.DeviceConn { return o.conn }
-
-// Reset returns the oximeter to its just-connected state for a
-// prototype clone: the ICE connection re-announces, the synthesizer
-// clears, counters zero, and the window ticker re-arms — NewOximeter's
-// scheduling order, replayed. The estimator keeps no state between
-// windows, and the window buffer is rewritten whole each window. The
-// probe RNG is owned and reseeded by the rig.
-func (o *Oximeter) Reset() {
-	o.conn.Reset()
-	o.synth.Reset()
-	o.Estimates = 0
-	o.InvalidEstimates = 0
-	o.tick.Reset()
-}
 
 // InjectMotion corrupts the probe signal with motion artifact for d.
 func (o *Oximeter) InjectMotion(d sim.Time, gain float64) {

@@ -34,7 +34,6 @@ type Ventilator struct {
 	phase0  sim.Time // anchor: an inhalation onset instant
 	paused  bool
 	patient *physio.Patient // optional: anesthetized patient losing support on pause
-	tick    *sim.Ticker
 
 	// Counters for experiments.
 	Pauses  uint64
@@ -71,7 +70,7 @@ func NewVentilator(k *sim.Kernel, net *mednet.Network, id string, cycle physio.B
 	conn.Handle("resume", func(map[string]float64) error { v.Resume(); return nil })
 	// State transmission: publish the cycle anchor every second so a
 	// subscriber always has a fresh prediction basis.
-	v.tick = k.Every(time.Second, func(now sim.Time) {
+	k.Every(time.Second, func(now sim.Time) {
 		if !conn.Connected() || v.paused {
 			return
 		}
@@ -79,20 +78,6 @@ func NewVentilator(k *sim.Kernel, net *mednet.Network, id string, cycle physio.B
 		conn.Publish("breath-rate", v.cycle.RatePerMin, true, 1, now)
 	})
 	return v, nil
-}
-
-// Reset returns the ventilator to its just-connected state for a
-// prototype clone: running, cycle re-anchored at the (reset) clock,
-// counters cleared, the ICE connection re-announced, and the
-// state-transmission ticker re-armed in NewVentilator's order. Kernel
-// and network must be reset first.
-func (v *Ventilator) Reset() {
-	v.phase0 = v.k.Now()
-	v.paused = false
-	v.Pauses = 0
-	v.Resumes = 0
-	v.conn.Reset()
-	v.tick.Reset()
 }
 
 // MustNewVentilator is NewVentilator, panicking on error.

@@ -86,54 +86,23 @@ func pcaConfig(seed int64, d sim.Time) closedloop.PCAScenarioConfig {
 	return cfg
 }
 
-// pcaProto and xrayProto adapt the closedloop cell rigs to the fleet
-// Proto seam. Clone hands the rig the cell's seed and pooled trace; the
-// rig's Reset-replay contract guarantees byte identity with the
-// factory's from-scratch Run.
-type pcaProto struct{ rig *closedloop.PCACellRig }
-
-func (p pcaProto) Clone(c Cell) (Metrics, error) { return p.rig.RunCell(c.Seed, c.Trace()) }
-
-type xrayProto struct{ rig *closedloop.XRaySyncCellRig }
-
-func (p xrayProto) Clone(c Cell) (Metrics, error) { return p.rig.RunCell(c.Seed, c.Trace()) }
-
-// pcaNewProto builds the prototype hook shared by the PCA factories:
-// the rig is constructed from the spec's template config (the build
-// seed is irrelevant — Clone reseeds every stream), declining to nil
-// when the config cannot be cloned.
-func pcaNewProto(cfgFor func(seed int64) closedloop.PCAScenarioConfig) func() Proto {
-	return func() Proto {
-		rig := closedloop.NewPCACellRig(cfgFor(0))
-		if rig == nil {
-			return nil
-		}
-		return pcaProto{rig}
-	}
-}
-
 func pcaFactory(supervised bool) Factory {
 	name := ScenarioPCAUnsupervised
 	if supervised {
 		name = ScenarioPCASupervised
 	}
 	return func(p Params) Spec {
-		cfgFor := func(seed int64) closedloop.PCAScenarioConfig {
-			cfg := pcaConfig(seed, p.Duration)
-			cfg.SupervisorEnabled = supervised
-			return cfg
-		}
 		return Spec{
 			Name:   name,
 			Seed:   p.Seed,
 			Cells:  p.Cells,
 			SeedFn: EnsembleSeeds(p.Seed, name+"/trial"),
 			Run: func(c Cell) (Metrics, error) {
-				cfg := cfgFor(c.Seed)
+				cfg := pcaConfig(c.Seed, p.Duration)
+				cfg.SupervisorEnabled = supervised
 				cfg.Trace = c.Trace()
 				return closedloop.RunPCACell(cfg)
 			},
-			NewProto: pcaNewProto(cfgFor),
 		}
 	}
 }
@@ -173,13 +142,6 @@ func xraySyncFactory(p Params) Spec {
 			cfg.Trace = c.Trace()
 			return closedloop.RunXRaySyncCell(cfg)
 		},
-		NewProto: func() Proto {
-			rig := closedloop.NewXRaySyncCellRig(cfgFor(0))
-			if rig == nil {
-				return nil
-			}
-			return xrayProto{rig}
-		},
 	}
 }
 
@@ -197,33 +159,9 @@ func probeWait(seed int64, p Params) time.Duration {
 	return time.Duration(rtt * (1 + jit*(2*u-1)) * float64(time.Millisecond))
 }
 
-// probeProto paces the cloned cell exactly as the from-scratch Run
-// does; the wait happens after the metrics are computed, so the clone
-// contract (byte identity with Run) is untouched.
-type probeProto struct {
-	rig  *closedloop.PCACellRig
-	pace func(seed int64)
-}
-
-func (p probeProto) Clone(c Cell) (Metrics, error) {
-	m, err := p.rig.RunCell(c.Seed, c.Trace())
-	p.pace(c.Seed)
-	return m, err
-}
-
 func teleProbeFactory(p Params) Spec {
 	if p.Duration <= 0 {
 		p.Duration = 2 * sim.Minute // short session: the RTT dominates, by design
-	}
-	cfgFor := func(seed int64) closedloop.PCAScenarioConfig {
-		cfg := pcaConfig(seed, p.Duration)
-		cfg.SupervisorEnabled = true
-		return cfg
-	}
-	pace := func(seed int64) {
-		if d := probeWait(seed, p); d > 0 {
-			time.Sleep(d)
-		}
 	}
 	return Spec{
 		Name:   ScenarioTeleICUProbe,
@@ -231,18 +169,14 @@ func teleProbeFactory(p Params) Spec {
 		Cells:  p.Cells,
 		SeedFn: EnsembleSeeds(p.Seed, ScenarioTeleICUProbe+"/trial"),
 		Run: func(c Cell) (Metrics, error) {
-			cfg := cfgFor(c.Seed)
+			cfg := pcaConfig(c.Seed, p.Duration)
+			cfg.SupervisorEnabled = true
 			cfg.Trace = c.Trace()
 			m, err := closedloop.RunPCACell(cfg)
-			pace(c.Seed)
-			return m, err
-		},
-		NewProto: func() Proto {
-			rig := closedloop.NewPCACellRig(cfgFor(0))
-			if rig == nil {
-				return nil
+			if d := probeWait(c.Seed, p); d > 0 {
+				time.Sleep(d)
 			}
-			return probeProto{rig, pace}
+			return m, err
 		},
 	}
 }
@@ -272,6 +206,5 @@ func commFaultFactory(p Params) Spec {
 			cfg.Trace = c.Trace()
 			return closedloop.RunPCACell(cfg)
 		},
-		NewProto: pcaNewProto(cfgFor),
 	}
 }

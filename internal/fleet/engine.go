@@ -53,7 +53,9 @@ func (r Runner) runEngineSpec(ctx context.Context, s Spec, out []Result, deliver
 		seen[res.Cell.Index] = true
 		out[res.Cell.Index] = res
 		mu.Unlock()
-		deliver(res)
+		if deliver != nil {
+			deliver(res)
+		}
 	})
 
 	sp.End(icescope.IntAttr("cells", s.Cells))

@@ -21,24 +21,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/closedloop"
 	"repro/internal/icescope"
 	"repro/internal/sim"
 )
-
-// prototypesDisabled globally gates prototype cloning (in addition to
-// the per-Runner NoPrototype switch). The differential suite flips it
-// to render whole experiment catalogs — whose runners the caller cannot
-// reach — with and without cloning and hold the outputs byte-identical.
-var prototypesDisabled atomic.Bool
-
-// SetPrototypesForTest globally enables or disables prototype cloning.
-// Tests only; not safe to flip while a fleet is running.
-func SetPrototypesForTest(enabled bool) { prototypesDisabled.Store(!enabled) }
 
 // Metrics is the named numeric outcome of one cell. Cell bodies outside
 // this package return plain map[string]float64 (assignable to Metrics) so
@@ -94,12 +82,6 @@ func (c Cell) Trace() *sim.Trace {
 // cells and cannot perturb determinism.
 type Scratch struct {
 	tr *sim.Trace
-
-	// protos caches one constructed prototype rig per spec (keyed by the
-	// spec's position in the worker's job set). A rig is built on the
-	// worker's first cell of a spec and stamps every later cell by
-	// Clone — construction cost is paid once per worker, not per cell.
-	protos map[int]Proto
 }
 
 func (s *Scratch) trace() *sim.Trace {
@@ -121,23 +103,6 @@ func (s *Scratch) reset() {
 // not share mutable state with other cells.
 type CellFunc func(c Cell) (Metrics, error)
 
-// Proto is a reusable cell prototype: one fully constructed scenario rig
-// that stamps out cells by resetting its kernel and reseeding its RNG
-// substreams instead of rebuilding patient, devices, network, and
-// manager from scratch. A Proto belongs to one worker goroutine (it
-// lives in that worker's Scratch), so it needs no locking.
-//
-// The contract is byte identity: Clone(c) must return exactly the
-// metrics Spec.Run(c) would, for any cell, in any order — the
-// differential suite holds every opted-in scenario to it. Factories
-// meet the bar by replaying their construction-time scheduling calls in
-// the original order after sim.Kernel.Reset, which reproduces the
-// original event sequence numbers and therefore the original execution
-// order (see DESIGN.md "Prototype cloning").
-type Proto interface {
-	Clone(c Cell) (Metrics, error)
-}
-
 // Spec describes one ensemble: how many cells, how they are seeded, and
 // how each is built and run.
 type Spec struct {
@@ -153,12 +118,11 @@ type Spec struct {
 
 	Run CellFunc
 
-	// NewProto, when non-nil, builds a reusable prototype rig for this
-	// spec. The runner calls it at most once per worker and routes every
-	// cell through Proto.Clone; a nil NewProto (or Runner.NoPrototype)
-	// falls back to from-scratch construction via Run, so the registry
-	// contract is unchanged for factories that have not opted in.
-	NewProto func() Proto
+	// NewProto is deprecated and always nil: every cell is built from
+	// scratch by Run, and nothing sets or calls this field. It remains
+	// only because the benchmark harness still reads it, and goes with
+	// the next change to that harness.
+	NewProto func() any
 
 	// scenario/params, when set, record how Build produced this spec —
 	// the provenance a distributed engine needs to rebuild the identical
@@ -219,18 +183,12 @@ type Runner struct {
 	// to exactly the local behavior rather than failing.
 	Engine Engine
 
-	// NoPrototype disables prototype cloning: every cell is built from
-	// scratch via Spec.Run even when the spec offers NewProto. The
-	// differential suite uses it to prove cloned and from-scratch cells
-	// byte-identical; it is also the honest baseline for benchmarks.
-	NoPrototype bool
-
 	// Span, when active, parents the run's trace: each worker records
-	// per-cell spans into its own lock-free buffer, prototype builds get
-	// their own spans, and engine-shipped specs propagate the span over
-	// the context so a distributed coordinator can attach its shard
-	// spans to the same tree. The zero Span disables tracing entirely —
-	// observability never touches cell seeds, scheduling, or results.
+	// per-cell spans into its own lock-free buffer, and engine-shipped
+	// specs propagate the span over the context so a distributed
+	// coordinator can attach its shard spans to the same tree. The zero
+	// Span disables tracing entirely — observability never touches cell
+	// seeds, scheduling, or results.
 	Span icescope.Span
 
 	// Obs, when non-nil, feeds the fleet's latency histograms.
@@ -301,164 +259,60 @@ func (r Runner) RunAllContext(ctx context.Context, specs []Spec, onCell func(Res
 			return nil, fmt.Errorf("fleet: spec %q has %d cells", s.Name, s.Cells)
 		}
 	}
-	workers := r.Workers
-	if workers <= 0 {
-		workers = 1
-	}
+	deliver := serialize(onCell)
 	out := make([][]Result, len(specs))
+	var errs []error
 	// Partition: specs the engine can ship (provenance from Build) run
 	// remotely, one ensemble at a time — each fans its cells out across
 	// the cluster, so the parallelism lives inside RunRange. Everything
 	// else shares the local pool below.
-	remote := make([]bool, len(specs))
+	var local []*batch
 	total := 0
 	for i, s := range specs {
 		out[i] = make([]Result, s.Cells)
 		if r.Engine != nil && s.scenario != "" {
-			remote[i] = true
-		} else {
-			total += s.Cells
-		}
-	}
-	if workers > total {
-		workers = total
-	}
-
-	var deliverMu sync.Mutex
-	var errs []error
-	for si, s := range specs {
-		if !remote[si] {
+			if err := r.runEngineSpec(ctx, s, out[i], deliver); err != nil {
+				errs = append(errs, err)
+			}
 			continue
 		}
-		err := r.runEngineSpec(ctx, s, out[si], func(res Result) {
-			if onCell != nil {
-				deliverMu.Lock()
-				onCell(res)
-				deliverMu.Unlock()
-			}
-		})
-		if err != nil {
-			errs = append(errs, err)
-		}
+		local = append(local, &batch{spec: s, out: out[i], deliver: deliver})
+		total += s.Cells
 	}
 
-	type job struct {
-		si, ci int
-		enq    time.Time // dispatch stamp; zero unless queue wait is observed
+	p := r.startPool(min(max(r.Workers, 1), total))
+	for _, b := range local {
+		p.dispatch(ctx, b)
 	}
-	jobs := make(chan job)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			scratch := &Scratch{} // one per worker: cells on this goroutine share buffers serially
-			buf := r.Span.Trace().Buffer()
-			for j := range jobs {
-				r.observeWait(j.enq)
-				res := r.runCell(specs[j.si], j.si, j.ci, scratch, buf)
-				out[j.si][j.ci] = res
-				if onCell != nil {
-					deliverMu.Lock()
-					onCell(res)
-					deliverMu.Unlock()
-				}
-			}
-		}()
+	p.close()
+	skipped := 0
+	for _, b := range local {
+		errs = append(errs, b.wait(ctx)...)
+		skipped += b.skipped
 	}
-	cancelled := 0
-dispatch:
-	for si, s := range specs {
-		if remote[si] {
-			continue
-		}
-		for ci := 0; ci < s.Cells; ci++ {
-			select {
-			case jobs <- job{si, ci, r.stamp()}:
-			case <-ctx.Done():
-				// Mark this and every remaining local cell as skipped. Seeds
-				// are still derived so partial result sets stay identifiable.
-				for sj := si; sj < len(specs); sj++ {
-					if remote[sj] {
-						continue
-					}
-					start := 0
-					if sj == si {
-						start = ci
-					}
-					for cj := start; cj < specs[sj].Cells; cj++ {
-						out[sj][cj] = Result{
-							Cell: Cell{Index: cj, Seed: specs[sj].seedFor(cj)},
-							Err:  ctx.Err(),
-						}
-						cancelled++
-					}
-				}
-				break dispatch
-			}
-		}
-	}
-	close(jobs)
-	wg.Wait()
-
-	for si, group := range out {
-		if remote[si] {
-			continue // engine failures were recorded once, not per cell
-		}
-		for _, res := range group {
-			if res.Err != nil && !errors.Is(res.Err, ctx.Err()) {
-				errs = append(errs, fmt.Errorf("%s cell %d: %w", specs[si].Name, res.Cell.Index, res.Err))
-			}
-		}
-	}
-	if cancelled > 0 {
-		errs = append(errs, fmt.Errorf("fleet: %d cells skipped: %w", cancelled, ctx.Err()))
-	}
-	return out, errors.Join(errs...)
+	return out, errors.Join(append(errs, skippedErr(ctx, skipped))...)
 }
 
 // runCell executes one cell, converting a panic in the model (the sim
 // kernel panics on causality violations) into a per-cell error so one bad
 // room cannot take down the fleet. The scratch pointer is stripped from
-// the stored Result so pooled buffers never escape the worker. si keys
-// the worker's prototype cache: cells of the same spec on the same
-// worker share one rig. A panic also evicts the spec's prototype — a
-// rig that blew up mid-run holds undefined state and must not stamp the
-// next cell.
-func (r Runner) runCell(s Spec, si, i int, scratch *Scratch, buf *icescope.Buffer) (res Result) {
+// the stored Result so pooled buffers never escape the worker.
+func (r Runner) runCell(s Spec, i int, scratch *Scratch, buf *icescope.Buffer) (res Result) {
 	seed := s.seedFor(i)
 	res.Cell = Cell{Index: i, Seed: seed}
 	defer func() {
 		if p := recover(); p != nil {
 			res.Err = fmt.Errorf("cell panicked: %v", p)
-			if scratch != nil {
-				delete(scratch.protos, si)
-			}
 		}
 	}()
-	if scratch != nil {
-		scratch.reset()
-	}
+	scratch.reset()
 	var t0 time.Time
 	if r.Obs != nil && r.Obs.CellSeconds != nil {
 		t0 = time.Now()
 	}
-	cell := Cell{Index: i, Seed: seed, scratch: scratch}
-	var m Metrics
-	var err error
-	// Resolve the prototype before opening the cell span: "proto build"
-	// and "cell run" are sibling leaves, so trace coverage attributes
-	// construction and execution separately.
-	proto := r.protoFor(s, si, scratch, buf, r.Span)
-	mode := "scratch"
 	sp := buf.Start(r.Span, "cell run")
-	if proto != nil {
-		mode = "proto"
-		m, err = proto.Clone(cell)
-	} else {
-		m, err = s.Run(cell)
-	}
-	sp.End(icescope.IntAttr("cell", i), icescope.StrAttr("mode", mode))
+	m, err := s.Run(Cell{Index: i, Seed: seed, scratch: scratch})
+	sp.End(icescope.IntAttr("cell", i))
 	if !t0.IsZero() {
 		r.Obs.CellSeconds.Observe(time.Since(t0).Seconds())
 	}
@@ -476,26 +330,4 @@ func (r Runner) runCell(s Spec, si, i int, scratch *Scratch, buf *icescope.Buffe
 	}
 	res.Metrics, res.Err = m, err
 	return res
-}
-
-// protoFor resolves the worker's cached prototype for spec si, building
-// it on first use. Returns nil — meaning "construct from scratch" —
-// when the spec offers no prototype, the runner disables cloning, or
-// the factory declined at build time (a nil Proto is cached so the
-// factory is not re-asked per cell).
-func (r Runner) protoFor(s Spec, si int, scratch *Scratch, buf *icescope.Buffer, parent icescope.Span) Proto {
-	if r.NoPrototype || s.NewProto == nil || scratch == nil || prototypesDisabled.Load() {
-		return nil
-	}
-	p, ok := scratch.protos[si]
-	if !ok {
-		bsp := buf.Start(parent, "proto build")
-		p = s.NewProto()
-		bsp.End(icescope.StrAttr("spec", s.Name))
-		if scratch.protos == nil {
-			scratch.protos = make(map[int]Proto)
-		}
-		scratch.protos[si] = p
-	}
-	return p
 }

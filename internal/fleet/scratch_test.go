@@ -126,3 +126,43 @@ func TestSummaryResetDropsStaleMetrics(t *testing.T) {
 		t.Fatal("Values for a stale metric must be nil (absent)")
 	}
 }
+
+// A warm worker builds every cell from scratch: each cell constructs its
+// kernel, network, manager, devices and patient anew, while the pooled
+// trace keeps its sample buffers. The budgets sit about 1.4x above the
+// measured counts, loose enough for runtime-version noise but tight
+// enough that a new per-event or per-sample allocation fails loudly.
+func TestAllocsCellFromScratch(t *testing.T) {
+	if sim.RaceEnabled {
+		t.Skip("race instrumentation allocates; gate runs without -race")
+	}
+	for _, tc := range []struct {
+		scenario string
+		p        Params
+		budget   float64
+	}{
+		{ScenarioPCASupervised, Params{Seed: 42, Cells: 1, Duration: 30 * sim.Minute}, 260},
+		{ScenarioXRayVentSync, Params{Seed: 42, Cells: 1}, 400},
+		{ScenarioTeleICUProbe, Params{Seed: 42, Cells: 1, Duration: sim.Minute}, 240},
+	} {
+		spec, err := Build(tc.scenario, tc.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scratch := &Scratch{}
+		i := 0
+		cell := func() {
+			if res := (Runner{}).runCell(spec, i, scratch, nil); res.Err != nil {
+				t.Fatal(res.Err)
+			}
+			i++
+		}
+		cell() // warm: the first cells grow the pooled trace buffers
+		cell()
+		got := testing.AllocsPerRun(5, cell)
+		t.Logf("%s: %.0f allocs per cell (budget %.0f)", tc.scenario, got, tc.budget)
+		if got > tc.budget {
+			t.Errorf("%s: %.0f allocs per cell, budget %.0f", tc.scenario, got, tc.budget)
+		}
+	}
+}

@@ -5,18 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-
-	"repro/internal/icescope"
 )
 
 // Session pins one built spec to a persistent worker pool: the one path
 // for running a contiguous cell range, and the node-side primitive
-// distributed engines are built from. Each worker goroutine owns one
-// Scratch for the session's lifetime, so the spec's prototype is
-// constructed once per worker and every later range stamps cells by
-// Clone. That is the seam a distributed node needs for fine-grained
-// shards: at shard size 1 the per-call fixed cost must be a function
-// call, not a scenario build.
+// distributed engines are built from. Its workers are the same pool
+// RunAllContext uses, kept alive across calls, so a fine-grained shard
+// costs a cell dispatch rather than a pool start.
 //
 // Concurrent RunRange calls are safe and share the pool — cells from
 // overlapping calls interleave across the same workers, bounding total
@@ -24,21 +19,12 @@ import (
 // are in flight. Determinism is untouched: cells remain pure functions
 // of their index, and each call's results are collected by index.
 type Session struct {
-	r    Runner
 	spec Spec
-	jobs chan sessionCell
-	wg   sync.WaitGroup
+	pool *pool
 
 	mu     sync.Mutex
 	closed bool
 	active int // RunRange calls in flight (idle tracking for cache evictors)
-}
-
-// sessionCell is one cell dispatched to the session pool; exec runs it
-// on the worker's long-lived scratch and lock-free trace buffer.
-type sessionCell struct {
-	ci   int
-	exec func(ci int, scratch *Scratch, buf *icescope.Buffer)
 }
 
 // NewSession validates the spec and starts the runner's worker pool
@@ -49,23 +35,7 @@ func (r Runner) NewSession(spec Spec) (*Session, error) {
 	if spec.Run == nil {
 		return nil, fmt.Errorf("fleet: spec %q has no Run", spec.Name)
 	}
-	workers := r.Workers
-	if workers <= 0 {
-		workers = 1
-	}
-	s := &Session{r: r, spec: spec, jobs: make(chan sessionCell)}
-	for w := 0; w < workers; w++ {
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			scratch := &Scratch{} // lives as long as the session: prototypes persist
-			buf := r.Span.Trace().Buffer()
-			for j := range s.jobs {
-				j.exec(j.ci, scratch, buf)
-			}
-		}()
-	}
-	return s, nil
+	return &Session{spec: spec, pool: r.startPool(max(r.Workers, 1))}, nil
 }
 
 // Spec returns the spec this session executes.
@@ -103,47 +73,10 @@ func (s *Session) RunRange(ctx context.Context, start, end int, onCell func(Resu
 		s.mu.Unlock()
 	}()
 
-	n := end - start
-	out := make([]Result, n)
-	var deliverMu sync.Mutex
-	var done sync.WaitGroup
-	exec := func(ci int, scratch *Scratch, buf *icescope.Buffer) {
-		defer done.Done()
-		res := s.r.runCell(s.spec, 0, ci, scratch, buf)
-		out[ci-start] = res
-		if onCell != nil {
-			deliverMu.Lock()
-			onCell(res)
-			deliverMu.Unlock()
-		}
-	}
-	cancelled := 0
-dispatch:
-	for ci := start; ci < end; ci++ {
-		done.Add(1)
-		select {
-		case s.jobs <- sessionCell{ci, exec}:
-		case <-ctx.Done():
-			done.Done()
-			for cj := ci; cj < end; cj++ {
-				out[cj-start] = Result{Cell: Cell{Index: cj, Seed: s.spec.seedFor(cj)}, Err: ctx.Err()}
-				cancelled++
-			}
-			break dispatch
-		}
-	}
-	done.Wait()
-
-	var errs []error
-	for _, res := range out {
-		if res.Err != nil && !errors.Is(res.Err, ctx.Err()) {
-			errs = append(errs, fmt.Errorf("%s cell %d: %w", s.spec.Name, res.Cell.Index, res.Err))
-		}
-	}
-	if cancelled > 0 {
-		errs = append(errs, fmt.Errorf("fleet: %d cells skipped: %w", cancelled, ctx.Err()))
-	}
-	return out, errors.Join(errs...)
+	b := &batch{spec: s.spec, start: start, out: make([]Result, end-start), deliver: serialize(onCell)}
+	s.pool.dispatch(ctx, b)
+	errs := b.wait(ctx)
+	return b.out, errors.Join(append(errs, skippedErr(ctx, b.skipped))...)
 }
 
 // Close stops the worker pool and waits for the workers to exit. It must
@@ -156,6 +89,5 @@ func (s *Session) Close() {
 	}
 	s.closed = true
 	s.mu.Unlock()
-	close(s.jobs)
-	s.wg.Wait()
+	s.pool.close()
 }

@@ -4,9 +4,9 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 
+	"repro/internal/icescope"
 	"repro/internal/sim"
 )
 
@@ -79,36 +79,34 @@ func TestSessionConcurrentRangesMatchRun(t *testing.T) {
 	}
 }
 
-// The whole point of the session seam: prototypes are built at most once
-// per worker for the session's lifetime, not once per range.
-func TestSessionReusesPrototypeAcrossRanges(t *testing.T) {
-	var builds atomic.Int64
-	spec := Spec{
-		Name: "count-builds", Seed: 1, Cells: 12,
-		Run: func(c Cell) (Metrics, error) { return Metrics{"v": float64(c.Index)}, nil },
-		NewProto: func() Proto {
-			builds.Add(1)
-			return protoFunc(func(c Cell) (Metrics, error) { return Metrics{"v": float64(c.Index)}, nil })
-		},
+// A session's cells go through the same dispatch as Runner.Run, so an
+// observed runner records one queue wait per cell, not just the cell
+// latencies.
+func TestSessionObservesQueueWait(t *testing.T) {
+	reg := icescope.NewRegistry()
+	obs := &Obs{
+		CellSeconds:      reg.Histogram("test_cell_seconds", "Cell wall time.", nil),
+		QueueWaitSeconds: reg.Histogram("test_queue_wait_seconds", "Cell queue wait.", nil),
 	}
-	sess, err := Runner{Workers: 2}.NewSession(spec)
+	spec := Spec{
+		Name: "observed", Seed: 1, Cells: 4,
+		Run: func(c Cell) (Metrics, error) { return Metrics{"v": float64(c.Index)}, nil },
+	}
+	sess, err := Runner{Workers: 2, Obs: obs}.NewSession(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sess.Close()
-	for start := 0; start < spec.Cells; start++ {
-		if _, err := sess.RunRange(context.Background(), start, start+1, nil); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := sess.RunRange(context.Background(), 0, spec.Cells, nil); err != nil {
+		t.Fatal(err)
 	}
-	if n := builds.Load(); n > 2 {
-		t.Fatalf("prototype built %d times across 12 ranges on 2 workers, want <= 2", n)
+	if n := obs.CellSeconds.Count(); n != uint64(spec.Cells) {
+		t.Errorf("CellSeconds count = %d, want %d", n, spec.Cells)
+	}
+	if n := obs.QueueWaitSeconds.Count(); n != uint64(spec.Cells) {
+		t.Errorf("QueueWaitSeconds count = %d, want %d", n, spec.Cells)
 	}
 }
-
-type protoFunc func(c Cell) (Metrics, error)
-
-func (f protoFunc) Clone(c Cell) (Metrics, error) { return f(c) }
 
 // stable renders results for comparison with the sampled wall-clock
 // encode-time counter zeroed — it is timing, not table content (reduced

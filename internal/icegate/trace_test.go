@@ -93,7 +93,7 @@ func TestJobTraceRecordsExecutionSpans(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("trace fetch = %d", code)
 	}
-	for _, want := range []string{"run", "build spec", "merge", "cell run", "proto build"} {
+	for _, want := range []string{"run", "build spec", "merge", "cell run"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("trace missing execution span %q:\n%s", want, text)
 		}

@@ -92,8 +92,8 @@ func (c NodeConfig) withDefaults() NodeConfig {
 // frames. Assignments within the coordinator-granted credit
 // window execute concurrently, all sharing one persistent fleet session
 // per job — the pool bounds actual parallelism at Workers, and the
-// session keeps the spec built once, so shard size 1 costs a function
-// call, not a scenario rebuild.
+// session keeps the spec and its workers alive across shards, so shard
+// size 1 costs one cell dispatch, not a spec build or a pool start.
 type Node struct {
 	cfg NodeConfig
 

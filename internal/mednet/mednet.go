@@ -204,14 +204,6 @@ func (n *Network) Tap(f func(Message, string)) { n.tap = f }
 // Stats returns a copy of the accounting counters.
 func (n *Network) Stats() Stats { return n.stats }
 
-// Reset clears delivery accounting for a prototype clone. Topology —
-// handlers, per-pair links, fault windows — is construction-time
-// configuration and is retained. Any deliveries in flight at the old
-// horizon were already dropped by the owning kernel's Reset; their
-// pooled slots and buffers are abandoned to the garbage collector and
-// re-grown on demand, bounded by what was airborne at one horizon.
-func (n *Network) Reset() { n.stats = Stats{} }
-
 // linkFor resolves the effective parameters for a directed pair.
 func (n *Network) linkFor(from, to string) LinkParams {
 	if p, ok := n.links[[2]string{from, to}]; ok {

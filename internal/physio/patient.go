@@ -91,9 +91,7 @@ func NewPatient(tr Traits, pk *PK, pd *PD, rng *sim.RNG) *Patient {
 
 // Reset rewinds the patient to the state NewPatient built: initial
 // vitals from traits, drug-free PK/PD, no wander, full ventilation, no
-// injected insult. Traits and model parameters are retained. The RNG is
-// owned by the rig, which reseeds it alongside this call so a prototype
-// clone's wander stream matches a from-scratch build.
+// injected insult. Traits, model parameters and the RNG are retained.
 func (p *Patient) Reset() {
 	p.pk.Reset()
 	p.pd.Reset()

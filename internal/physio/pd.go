@@ -71,7 +71,7 @@ func MustPD(p PDParams) *PD {
 func (m *PD) Params() PDParams { return m.p }
 
 // Reset returns the effect site to zero concentration, keeping the
-// parameters. Used when a prototype clone rewinds a patient.
+// parameters.
 func (m *PD) Reset() { m.ce = 0 }
 
 // EffectSite reports the current effect-site concentration (mg/L).

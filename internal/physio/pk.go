@@ -80,7 +80,7 @@ func MustPK(p PKParams) *PK {
 func (m *PK) Params() PKParams { return m.p }
 
 // Reset returns the model to the drug-free initial state, keeping its
-// parameters. Used when a prototype clone rewinds a patient.
+// parameters.
 func (m *PK) Reset() {
 	m.a1 = 0
 	m.a2 = 0

@@ -51,19 +51,6 @@ func NewSynth(p SynthParams, rng *sim.RNG) *Synth {
 	return &Synth{p: p, rng: rng}
 }
 
-// Reset returns the generator to its initial cardiac phase and clears
-// any injected artifact, dropout, or bias windows for a prototype
-// clone. The RNG is shared wiring owned by the rig, which reseeds it
-// separately.
-func (s *Synth) Reset() {
-	s.phase = 0
-	s.artifactUntil = 0
-	s.artifactGain = 0
-	s.dropoutUntil = 0
-	s.biasUntil = 0
-	s.biasDelta = 0
-}
-
 // SampleInterval returns the spacing between samples.
 func (s *Synth) SampleInterval() sim.Time {
 	return sim.FromSeconds(1 / s.p.SampleRate)

@@ -92,18 +92,6 @@ func (q *refQueue) cancel(id EventID) bool {
 
 func (q *refQueue) pending() int { return len(q.h) - q.canceled }
 
-// reset empties the queue for Kernel.Reset, mirroring the arena path so
-// prototype cloning stays differential-testable on both backends.
-func (q *refQueue) reset() {
-	for i := range q.h {
-		q.h[i] = nil
-	}
-	q.h = q.h[:0]
-	clear(q.byID)
-	q.nextID = 0
-	q.canceled = 0
-}
-
 func (q *refQueue) popNext(horizon Time) (func(any), any, Time, bool) {
 	for len(q.h) > 0 {
 		e := q.h[0]
